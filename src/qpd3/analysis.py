@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams
-from .game import GameConfig, PLAYER_NAMES, PreparedGame, StrategyParams
+from .game import GameConfig, PLAYER_NAMES, PreparedGame, StrategyParams, strategy_unitary
 
 #: Gain threshold for equilibrium checks: far above 1e-12 arithmetic noise,
 #: far below any real payoff gradient at the grid scales used here.
@@ -22,6 +22,16 @@ NASH_GAIN_TOL = 1e-9
 
 #: Tolerance for treating grid payoffs as tied.
 TIE_TOL = 1e-12
+
+#: Most grid points one request may evaluate; larger grids are refused before
+#: anything is allocated.
+MAX_GRID_POINTS = 10**6
+
+
+def check_grid_size(points: int, what: str) -> None:
+    """Raise ValueError if ``points`` exceeds MAX_GRID_POINTS."""
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"{what} has {points} grid points, over the limit of {MAX_GRID_POINTS}")
 
 
 def player_index(player) -> int:
@@ -81,6 +91,7 @@ def grid_points(start: float, stop: float, count: int) -> tuple:
     """Evenly spaced grid, endpoints included (count >= 2) or just start (count 1)."""
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
+    check_grid_size(count, "the grid")
     if count == 1:
         return (float(start),)
     return tuple(np.linspace(start, stop, count))
@@ -115,21 +126,13 @@ def strategy_surface(spec: SweepSpec) -> list[tuple[float, float, float]]:
     if spec.variable != "alpha1_theta1_surface":
         raise ValueError("strategy_surface needs an alpha1_theta1_surface spec")
     alphas, thetas = spec.grid
+    check_grid_size(len(alphas) * len(thetas), "the surface")
     prepared = PreparedGame(spec.base)
-    _, bob, charlie = spec.base.strategies
-    beta1 = spec.base.strategies[0].beta
-    rows = []
-    for i, a in enumerate(alphas):
-        for j, t in enumerate(thetas):
-            try:
-                pay = prepared.payoffs((StrategyParams(t, a, beta1), bob, charlie))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"surface failed at grid index ({i}, {j}) "
-                    f"(alpha1={a}, theta1={t}): {exc}"
-                ) from exc
-            rows.append((float(a), float(t), pay[0]))
-    return rows
+    form = prepared.deviation_form(spec.base.strategies, 0, 0)
+    a, t = np.meshgrid(alphas, thetas, indexing="ij")
+    u = strategy_unitary(t, a, spec.base.strategies[0].beta).reshape(-1, 4)
+    values = np.einsum("nx,xy,ny->n", u.conj(), form, u).real
+    return [(float(x), float(y), float(v)) for x, y, v in zip(a.ravel(), t.ravel(), values)]
 
 
 def surface_argmax(rows, tie_tol: float = TIE_TOL) -> tuple[float, float, float]:
@@ -181,6 +184,7 @@ def best_response(
     """
     if resolution < 3:
         raise ValueError(f"resolution must be >= 3, got {resolution}")
+    check_grid_size(resolution**3, "the best-response search")
     idx = player_index(player)
     prepared = PreparedGame(cfg)
 
@@ -190,29 +194,16 @@ def best_response(
         return prepared.payoffs(tuple(strategies))[idx]
 
     thetas = np.linspace(0.0, math.pi, resolution)
-    alphas = np.linspace(-math.pi, math.pi, resolution)
-    betas = np.linspace(-math.pi, math.pi, resolution)
+    alphas = betas = np.linspace(-math.pi, math.pi, resolution)
 
-    best_val = -math.inf
     values = np.empty((resolution, resolution, resolution))
     for i, t in enumerate(thetas):
         for j, a in enumerate(alphas):
             for k, b in enumerate(betas):
-                v = payoff_with(StrategyParams(t, a, b))
-                values[i, j, k] = v
-                if v > best_val:
-                    best_val = v
-    best = None
-    for i, t in enumerate(thetas):
-        for j, a in enumerate(alphas):
-            for k, b in enumerate(betas):
-                if values[i, j, k] >= best_val - TIE_TOL:
-                    best = StrategyParams(t, a, b)
-                    break
-            if best is not None:
-                break
-        if best is not None:
-            break
+                values[i, j, k] = payoff_with(StrategyParams(t, a, b))
+    best_val = values.max()
+    i, j, k = np.unravel_index(np.flatnonzero(values >= best_val - TIE_TOL)[0], values.shape)
+    best = StrategyParams(thetas[i], alphas[j], betas[k])
 
     at_claimed = payoff_with(claimed)
     return BestResponseResult(

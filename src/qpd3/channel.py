@@ -43,6 +43,14 @@ from .linalg import (
 #: Pauli operators selected by the channel index set {0, 3}.
 _SIGMA = {0: ID2, 3: SIGMA_Z}
 
+#: Three-qubit index triples in operator order.
+_TRIPLE_INDICES = tuple(itertools.product((0, 3), repeat=3))
+
+#: _TRIPLE_SIGNS[n, x]: diagonal entry x of the Pauli product of index triple
+#: n.  Bits of n and x are (Alice, Bob, Charlie) from the top; triple n has
+#: sigma_z on the qubits of n's set bits, so the entry is (-1)^popcount(n & x).
+_TRIPLE_SIGNS = np.array([[(-1.0) ** bin(n & x).count("1") for x in range(8)] for n in range(8)])
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -130,27 +138,48 @@ def correlated_pair(params: ChannelParams) -> KrausSet:
     return KrausSet(4, tuple(ops))
 
 
-def correlated_triple(params: ChannelParams) -> KrausSet:
-    """Three-qubit dephasing with memory, indices (i, j, k) in {0, 3}^3.
+def _triple_weights(params: ChannelParams) -> list[float]:
+    """Weights w_ijk of A_ijk = sqrt(w_ijk) sigma_i x sigma_j x sigma_k, in index order.
 
     The weight [(1-mu)p_i + mu d_ij][(1-mu)p_j + mu d_jk] p_k is evaluated
     literally, including the asymmetric delta chaining.
     """
     p = {0: params.error_probabilities()[0], 3: params.error_probabilities()[1]}
     mu = params.mu
-    ops = []
-    for i, j, k in itertools.product((0, 3), repeat=3):
-        weight = (
-            ((1.0 - mu) * p[i] + mu * (i == j))
-            * ((1.0 - mu) * p[j] + mu * (j == k))
-            * p[k]
-        )
-        ops.append(np.sqrt(weight) * kron_all(_SIGMA[i], _SIGMA[j], _SIGMA[k]))
+    return [
+        ((1.0 - mu) * p[i] + mu * (i == j)) * ((1.0 - mu) * p[j] + mu * (j == k)) * p[k]
+        for i, j, k in _TRIPLE_INDICES
+    ]
+
+
+def correlated_triple(params: ChannelParams) -> KrausSet:
+    """Three-qubit dephasing with memory, indices (i, j, k) in {0, 3}^3."""
+    ops = [
+        np.sqrt(w) * kron_all(_SIGMA[i], _SIGMA[j], _SIGMA[k])
+        for w, (i, j, k) in zip(_triple_weights(params), _TRIPLE_INDICES)
+    ]
     return KrausSet(8, tuple(ops))
 
 
+def dephasing_mask(params: ChannelParams) -> np.ndarray:
+    """The correlated three-qubit channel as an elementwise mask.
+
+    Every A_ijk is diagonal with entries sqrt(w_ijk) s_ijk(x), s = +-1, so
+    sum_ijk A_ijk rho A_ijk† = M o rho with M_xy = sum_ijk w_ijk s_ijk(x) s_ijk(y).
+    M is real and symmetric, and M_xx = sum_ijk w_ijk; trace preservation, the
+    completeness check of the Kraus set, is therefore checked on the diagonal.
+    The returned array is read-only.
+    """
+    mask = (_TRIPLE_SIGNS.T * _triple_weights(params)) @ _TRIPLE_SIGNS
+    defect = max_abs(mask.diagonal() - 1.0)
+    if defect > DEFAULT_ATOL:
+        raise InvariantViolation(f"dephasing mask is not trace preserving: defect {defect:.3e}")
+    mask.flags.writeable = False
+    return mask
+
+
 def kraus_sum(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """sum_k A_k rho A_k† without any validation (internal hot path)."""
+    """sum_k A_k rho A_k† without any validation (the definition the mask is checked against)."""
     out = np.zeros_like(rho)
     for op in ks.operators:
         out += op @ rho @ op.conj().T

@@ -65,12 +65,9 @@ def parse_grid(text: str) -> tuple:
             f"grid must be start:stop:count, got {text!r}"
         )
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        return analysis.grid_points(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
-    if count < 1:
-        raise argparse.ArgumentTypeError("grid count must be >= 1")
-    return analysis.grid_points(start, stop, count)
 
 
 def parse_triple(text: str) -> StrategyParams:
@@ -232,6 +229,7 @@ def cmd_surface(args) -> int:
         if args.mu is None:
             args.mu = mu
     cfg = _config_from(args, default_strategies)
+    analysis.check_grid_size(args.res**2, "the surface")
     alphas = analysis.grid_points(-math.pi, math.pi, args.res)
     thetas = analysis.grid_points(0.0, math.pi, args.res)
     spec = analysis.SweepSpec("alpha1_theta1_surface", (alphas, thetas), cfg)
@@ -242,10 +240,7 @@ def cmd_surface(args) -> int:
 
 def cmd_best_response(args) -> int:
     cfg = _config_from(args)
-    try:
-        result = analysis.best_response(cfg, args.player, args.claimed, args.res)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    result = analysis.best_response(cfg, args.player, args.claimed, args.res)
     out = {
         "player": result.player,
         "grid_resolution": result.grid_resolution,
@@ -260,10 +255,7 @@ def cmd_best_response(args) -> int:
 
 def cmd_nash_check(args) -> int:
     cfg = _config_from(args)
-    try:
-        result = analysis.nash_check(cfg, cfg.strategies, args.res)
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    result = analysis.nash_check(cfg, cfg.strategies, args.res)
     out = {
         "is_equilibrium": result.is_equilibrium,
         "gains": list(result.gains),

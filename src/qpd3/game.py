@@ -7,7 +7,8 @@ The arbiter prepares the three-qubit state
     |psi_in> = cos(gamma/2) |000> + i sin(gamma/2) |111>,     0 <= gamma <= pi/2,
 
 sends one qubit to each player through the correlated dephasing channel
-(:func:`qpd3.channel.correlated_triple`), the players apply local unitaries
+(:func:`qpd3.channel.correlated_triple`, applied as
+:func:`qpd3.channel.dephasing_mask`), the players apply local unitaries
 
     U(theta, alpha, beta) = [[ e^{i alpha} cos(theta/2),  i e^{i beta}  sin(theta/2)],
                              [ i e^{-i beta} sin(theta/2), e^{-i alpha} cos(theta/2)]],
@@ -46,15 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, KrausSet, correlated_triple, kraus_sum
-from .linalg import (
-    DEFAULT_ATOL,
-    InvariantViolation,
-    check_density_matrix,
-    frozen,
-    kron_all,
-    max_abs,
-)
+from .channel import ChannelParams, dephasing_mask
+from .linalg import DEFAULT_ATOL, InvariantViolation, check_density_matrix, max_abs
 
 #: Name of the measurement-basis phase convention in use (see module docstring).
 BASIS_READING = "uniform-plus-i"
@@ -186,42 +180,50 @@ def initial_state(gamma: float) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def strategy_unitary(s: StrategyParams) -> np.ndarray:
-    """The 2x2 unitary for one player's (theta, alpha, beta)."""
-    ct = math.cos(s.theta / 2)
-    st = math.sin(s.theta / 2)
-    return np.array(
-        [
-            [np.exp(1j * s.alpha) * ct, 1j * np.exp(1j * s.beta) * st],
-            [1j * np.exp(-1j * s.beta) * st, np.exp(-1j * s.alpha) * ct],
-        ]
-    )
+def strategy_unitary(theta, alpha, beta) -> np.ndarray:
+    """The 2x2 unitaries for (theta, alpha, beta), broadcast over array arguments.
+
+    Returns an array of shape ``broadcast_shape + (2, 2)``; scalar angles
+    give one 2x2 matrix.  Ranges are validated by :class:`StrategyParams`.
+    """
+    half = np.multiply(theta, 0.5)
+    diag = np.exp(np.multiply(alpha, 1j)) * np.cos(half)
+    off = 1j * np.exp(np.multiply(beta, 1j)) * np.sin(half)
+    diag, off = np.broadcast_arrays(diag, off)
+    u = np.empty(diag.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = diag
+    u[..., 0, 1] = off
+    u[..., 1, 0] = -off.conj()
+    u[..., 1, 1] = diag.conj()
+    return u
+
+
+def _profile_unitaries(strategies) -> np.ndarray:
+    """(3, 2, 2) stack of the players' unitaries."""
+    return strategy_unitary(*np.array([(s.theta, s.alpha, s.beta) for s in strategies]).T)
+
+
+def _kron3(u: np.ndarray) -> np.ndarray:
+    """u[0] x u[1] x u[2] for a (3, 2, 2) stack (the 8x8 profile unitary)."""
+    ab = (u[0][:, None, :, None] * u[1][None, :, None, :]).reshape(4, 4)
+    return (ab[:, None, :, None] * u[2][None, :, None, :]).reshape(8, 8)
 
 
 @functools.lru_cache(maxsize=128)
-def _projectors_cached(delta: float) -> tuple[np.ndarray, ...]:
+def _projectors_cached(delta: float) -> np.ndarray:
     c = math.cos(delta / 2)
     s = math.sin(delta / 2)
-    projectors = []
-    vectors = []
-    for m in range(8):
-        v = np.zeros(8, dtype=complex)
-        v[m] = c
-        v[7 - m] = 1j * s
-        vectors.append(v)
-        projectors.append(frozen(np.outer(v, v.conj())))
+    # Row m is |chi_m>: c on |m> and i s on its complement |7 - m>.
+    vectors = c * np.eye(8) + 1j * s * np.eye(8)[::-1]
     # Construction-time soundness: the eight states must form an orthonormal,
     # complete set for the payoff decomposition to be meaningful.
-    total = sum(projectors)
-    if max_abs(total - np.eye(8)) > DEFAULT_ATOL:
+    projectors = np.einsum("mx,my->mxy", vectors, vectors.conj())
+    if max_abs(projectors.sum(axis=0) - np.eye(8)) > DEFAULT_ATOL:
         raise InvariantViolation("measurement projectors do not sum to identity")
-    for a in range(8):
-        for b in range(a + 1, 8):
-            if abs(np.vdot(vectors[a], vectors[b])) > DEFAULT_ATOL:
-                raise InvariantViolation(
-                    f"measurement states {OUTCOMES[a]} and {OUTCOMES[b]} are not orthogonal"
-                )
-    return tuple(projectors)
+    if max_abs(vectors.conj() @ vectors.T - np.eye(8)) > DEFAULT_ATOL:
+        raise InvariantViolation("measurement states are not orthonormal")
+    projectors.flags.writeable = False
+    return projectors
 
 
 def measurement_projectors(delta: float) -> tuple[np.ndarray, ...]:
@@ -229,51 +231,78 @@ def measurement_projectors(delta: float) -> tuple[np.ndarray, ...]:
 
     Ordered 000..111; each |chi_lmn> pairs |lmn> with its bitwise complement
     at relative phase +i (the ``uniform-plus-i`` convention).  Completeness
-    and pairwise orthogonality are checked at construction.  The returned
-    arrays are read-only and shared between calls.
+    and orthonormality are checked at construction.  The returned arrays are
+    read-only and shared between calls.
     """
     if not (np.isfinite(delta) and 0.0 <= delta <= math.pi / 2):
         raise ValueError(f"delta must be in [0, pi/2], got {delta}")
-    return _projectors_cached(float(delta))
+    return tuple(_projectors_cached(float(delta)))
 
 
 @functools.lru_cache(maxsize=256)
-def _channel_cached(params: ChannelParams) -> KrausSet:
-    return correlated_triple(params)
+def _channel_cached(params: ChannelParams) -> np.ndarray:
+    return dephasing_mask(params)
+
+
+#: Index letters per qubit for :meth:`PreparedGame.deviation_form`'s
+#: contraction Tr(W U rho U†) = sum W[d,a] U[a,b] rho[b,c] conj(U[d,c]).
+_D, _A, _B, _C = "abc", "def", "ghi", "jkl"
 
 
 class PreparedGame:
     """A game with everything but the strategies precomputed.
 
     Used by parameter sweeps and strategy searches, which evaluate many
-    strategy profiles against fixed (gamma, delta, noise) settings.  The
-    evaluation is the same Kraus-operator arithmetic as the public pipeline;
-    only redundant re-validation of already-validated components is skipped.
+    strategy profiles against fixed (gamma, delta, noise) settings.  Both
+    channel passages act as elementwise masks (:func:`dephasing_mask`).  As
+    the second mask M2 is real and symmetric, Tr(P_m (M2 o rho)) equals
+    Tr((M2 o P_m) rho), so the measurement, the second passage and the payoff
+    table fold into one observable per player,
+    W_k = sum_m table[m, k] (M2 o P_m), and a payoff is Tr(W_k U rho1 U†).
     """
 
     def __init__(self, cfg: GameConfig):
         self.cfg = cfg
-        ks1 = _channel_cached(cfg.passage1)
-        self.ks2 = _channel_cached(cfg.passage2)
-        self.rho1 = kraus_sum(ks1, initial_state(cfg.gamma))
-        self.projectors = measurement_projectors(cfg.delta)
+        self.rho1 = _channel_cached(cfg.passage1) * initial_state(cfg.gamma)
+        self.mask2 = _channel_cached(cfg.passage2)
+        self.projectors = _projectors_cached(float(cfg.delta))
         self.table = cfg.payoffs.as_array()
+        self.observables = np.einsum("mk,mxy->kxy", self.table, self.mask2 * self.projectors)
 
     def final_state(self, strategies) -> np.ndarray:
-        u = kron_all(*(strategy_unitary(s) for s in strategies))
-        rho2 = u @ self.rho1 @ u.conj().T
-        return kraus_sum(self.ks2, rho2)
+        u = _kron3(_profile_unitaries(strategies))
+        return self.mask2 * (u @ self.rho1 @ u.conj().T)
 
     def probabilities_of(self, rho3: np.ndarray) -> np.ndarray:
-        return np.array([np.trace(p @ rho3).real for p in self.projectors])
-
-    def outcome_probabilities(self, strategies) -> np.ndarray:
-        return self.probabilities_of(self.final_state(strategies))
+        return np.einsum("mxy,yx->m", self.projectors, rho3).real
 
     def payoffs(self, strategies) -> tuple[float, float, float]:
-        probs = self.outcome_probabilities(strategies)
-        pay = probs @ self.table
+        u = _kron3(_profile_unitaries(strategies))
+        rho2 = u @ self.rho1 @ u.conj().T
+        pay = np.einsum("kxy,yx->k", self.observables, rho2).real
         return (float(pay[0]), float(pay[1]), float(pay[2]))
+
+    def deviation_form(self, strategies, idx: int, k: int) -> np.ndarray:
+        """4x4 Hermitian Q with payoff_k = vec(u)† Q vec(u) when player ``idx`` plays u.
+
+        The other two players keep their strategies from ``strategies``
+        (the entry at ``idx`` is ignored); vec(u) is u flattened row-major.
+        """
+        us = _profile_unitaries(strategies)
+        others = [q for q in range(3) if q != idx]
+        subscripts = ",".join(
+            [_D + _A, _B + _C]
+            + [_A[q] + _B[q] for q in others]
+            + [_D[q] + _C[q] for q in others]
+        ) + "->" + _D[idx] + _C[idx] + _A[idx] + _B[idx]
+        form = np.einsum(
+            subscripts,
+            self.observables[k].reshape((2,) * 6),
+            self.rho1.reshape((2,) * 6),
+            *(us[q] for q in others),
+            *(us[q].conj() for q in others),
+        )
+        return form.reshape(4, 4)
 
 
 def final_state(cfg: GameConfig, tol: float = DEFAULT_ATOL) -> np.ndarray:

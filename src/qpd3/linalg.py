@@ -2,8 +2,9 @@
 
 Everything is a plain ``numpy.ndarray`` with dtype complex128.  The helpers
 here add the validation this package relies on (finiteness, shape checks,
-Hermiticity/positivity smoke tests) on top of numpy's arithmetic.  No
-decompositions, no inversion, no eigensolvers.
+Hermiticity, unit trace and positivity of states) on top of numpy's
+arithmetic.  The only decomposition used is the Hermitian eigenvalue solver
+behind the positivity check; nothing is inverted.
 """
 
 from __future__ import annotations
@@ -41,20 +42,6 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch in matmul: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker (tensor) product, block layout a[r][c] * b."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
 def kron_all(*mats) -> np.ndarray:
     """Left-associated Kronecker product of one or more matrices."""
     if not mats:
@@ -63,11 +50,6 @@ def kron_all(*mats) -> np.ndarray:
     for m in mats[1:]:
         out = np.kron(out, as_complex_matrix(m))
     return out
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T
 
 
 def trace(a) -> complex:
@@ -91,36 +73,8 @@ def is_unitary(a, tol: float = DEFAULT_ATOL) -> bool:
     return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
 
 
-def is_hermitian(a, tol: float = DEFAULT_ATOL) -> bool:
-    """True iff max-norm of (a - a†) is within ``tol``."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return max_abs(a - a.conj().T) <= tol
-
-
-def positivity_smoke(a, tol: float = DEFAULT_ATOL) -> bool:
-    """Cheap necessary conditions for positive semidefiniteness.
-
-    Checks every diagonal entry and every 2x2 principal minor against
-    ``-tol``.  Deliberately weaker than an eigenvalue test: the maps in this
-    package preserve positivity by construction, so this is a smoke test.
-    """
-    a = as_complex_matrix(a)
-    n = a.shape[0]
-    d = a.diagonal().real
-    if np.any(d < -tol):
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            minor = d[i] * d[j] - abs(a[i, j]) ** 2
-            if minor < -tol:
-                return False
-    return True
-
-
 def check_density_matrix(rho, tol: float = DEFAULT_ATOL) -> np.ndarray:
-    """Validate a density matrix (Hermitian, unit trace, positivity smoke).
+    """Validate a density matrix (Hermitian, unit trace, positive semidefinite).
 
     Returns the coerced array on success, raises InvariantViolation on the
     first failed property.
@@ -134,6 +88,9 @@ def check_density_matrix(rho, tol: float = DEFAULT_ATOL) -> np.ndarray:
     tr = trace(rho)
     if abs(tr - 1.0) > tol:
         raise InvariantViolation(f"state trace {tr} deviates from 1 by more than {tol:.1e}")
-    if not positivity_smoke(rho, tol):
-        raise InvariantViolation("state failed the positivity smoke test")
+    smallest = np.linalg.eigvalsh(rho).min()
+    if smallest < -tol:
+        raise InvariantViolation(
+            f"state is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
+        )
     return rho

@@ -214,6 +214,22 @@ def test_verify_seed_independent_outcome(capsys, tmp_path):
     assert patterns[0] == patterns[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["best-response", "--player", "alice", "--claimed", "0,0,0", "--res", "100000"],
+    ["best-response", "--player", "alice", "--claimed", "0,0,0", "--res", "101"],
+    ["nash-check", "--res", "101"],
+    ["surface", "--res", "1001"],
+    ["surface", "--res", "1000000"],
+    ["sweep", "--var", "p", "--grid", "0:1:1000001"],
+])
+def test_oversized_grids_are_refused(capsys, argv):
+    # each request is refused before its grid is allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "1000000" in err
+
+
 @pytest.mark.parametrize("cmd", ["payoff", "sweep", "surface", "best-response",
                                  "nash-check", "verify"])
 def test_help_available(capsys, cmd):

@@ -112,19 +112,19 @@ def test_initial_state_normalized():
 # strategy unitaries
 
 def test_cooperate_is_identity():
-    np.testing.assert_allclose(strategy_unitary(COOPERATE), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(strategy_unitary(0.0, 0.0, 0.0), np.eye(2), atol=1e-15)
 
 
 def test_defect_is_i_sigma_x():
     np.testing.assert_allclose(
-        strategy_unitary(DEFECT), 1j * np.array([[0, 1], [1, 0]]), atol=1e-15
+        strategy_unitary(math.pi, 0.0, 0.0), 1j * np.array([[0, 1], [1, 0]]), atol=1e-15
     )
 
 
 @given(strategies_st)
 @settings(max_examples=100)
 def test_strategy_unitary_is_unitary(s):
-    assert is_unitary(strategy_unitary(s), 1e-12)
+    assert is_unitary(strategy_unitary(s.theta, s.alpha, s.beta), 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,102 @@
+"""Differential tests of the evaluation kernel: dephasing mask, per-player
+observables and the one-player quadratic form, against the Kraus-operator
+definition of the channel and the loop-based reference in oracle.py."""
+
+import math
+
+import numpy as np
+import pytest
+
+import oracle
+from qpd3.analysis import SweepSpec, grid_points, strategy_surface
+from qpd3.channel import ChannelParams, correlated_triple, dephasing_mask, kraus_sum
+from qpd3.game import GameConfig, PreparedGame, StrategyParams, strategy_unitary
+
+
+def random_density(rng, dim):
+    weights = rng.dirichlet(np.ones(3))
+    rho = np.zeros((dim, dim), dtype=complex)
+    for w in weights:
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v /= np.linalg.norm(v)
+        rho += w * np.outer(v, v.conj())
+    return rho
+
+
+def random_strategy(rng):
+    return StrategyParams(
+        rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
+    )
+
+
+def random_config(seed):
+    """A generic game: gamma, delta below pi/2 and two different passages."""
+    rng = np.random.default_rng(seed)
+    gamma, delta = rng.uniform(0.1, 1.4, size=2)
+    p1, mu1, p2, mu2 = rng.uniform(0.05, 0.95, size=4)
+    strategies = tuple(random_strategy(rng) for _ in range(3))
+    return GameConfig(
+        float(gamma), float(delta), ChannelParams(p1, mu1), ChannelParams(p2, mu2), strategies
+    )
+
+
+def oracle_payoffs(cfg, strategies):
+    return oracle.payoffs(
+        cfg.gamma, cfg.delta, cfg.passage1.p, cfg.passage1.mu, cfg.passage2.p, cfg.passage2.mu,
+        [(s.theta, s.alpha, s.beta) for s in strategies],
+    )
+
+
+SEEDS = (11, 12, 13)
+
+
+def test_mask_matches_kraus_sum():
+    rng = np.random.default_rng(5)
+    for p in np.linspace(0.0, 1.0, 11):
+        for mu in np.linspace(0.0, 1.0, 11):
+            params = ChannelParams(float(p), float(mu))
+            rho = random_density(rng, 8)
+            mask = dephasing_mask(params)
+            np.testing.assert_array_equal(mask, mask.T)
+            np.testing.assert_allclose(
+                mask * rho, kraus_sum(correlated_triple(params), rho), rtol=0, atol=1e-15
+            )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_payoffs_match_oracle(seed):
+    cfg = random_config(seed)
+    got = PreparedGame(cfg).payoffs(cfg.strategies)
+    np.testing.assert_allclose(got, oracle_payoffs(cfg, cfg.strategies), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_deviation_form_matches_oracle(seed):
+    cfg = random_config(seed)
+    prepared = PreparedGame(cfg)
+    rng = np.random.default_rng(seed + 100)
+    for idx in range(3):
+        deviation = random_strategy(rng)
+        strategies = list(cfg.strategies)
+        strategies[idx] = deviation
+        want = oracle_payoffs(cfg, strategies)
+        v = strategy_unitary(deviation.theta, deviation.alpha, deviation.beta).reshape(4)
+        for k in range(3):
+            form = prepared.deviation_form(cfg.strategies, idx, k)
+            np.testing.assert_allclose(form, form.conj().T, rtol=0, atol=1e-15)
+            got = (v.conj() @ form @ v).real
+            assert got == pytest.approx(want[k], abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_surface_rows_match_oracle(seed):
+    cfg = random_config(seed)
+    alphas = grid_points(-math.pi, math.pi, 3)
+    thetas = grid_points(0.0, math.pi, 4)
+    rows = strategy_surface(SweepSpec("alpha1_theta1_surface", (alphas, thetas), cfg))
+    beta1 = cfg.strategies[0].beta
+    assert [(a, t) for a, t, _ in rows] == [(a, t) for a in alphas for t in thetas]
+    for a, t, value in rows:
+        alice = StrategyParams(t, a, beta1)
+        want = oracle_payoffs(cfg, (alice,) + cfg.strategies[1:])
+        assert value == pytest.approx(want[0], abs=1e-12)

@@ -9,15 +9,11 @@ from qpd3.linalg import (
     SIGMA_X,
     SIGMA_Z,
     InvariantViolation,
+    as_complex_matrix,
     check_density_matrix,
-    dagger,
-    is_hermitian,
     is_unitary,
-    kron,
     kron_all,
-    matmul,
     max_abs,
-    positivity_smoke,
     trace,
 )
 
@@ -38,33 +34,22 @@ matrices_2x2 = st.builds(
 
 
 def test_matmul_identity_and_pauli():
-    np.testing.assert_allclose(matmul(ID2, SIGMA_Z), SIGMA_Z, atol=1e-15)
-    np.testing.assert_allclose(matmul(SIGMA_Z, SIGMA_Z), ID2, atol=1e-15)
+    np.testing.assert_allclose(ID2 @ SIGMA_Z, SIGMA_Z, atol=1e-15)
+    np.testing.assert_allclose(SIGMA_Z @ SIGMA_Z, ID2, atol=1e-15)
     # sigma_x sigma_z = -i sigma_y
     np.testing.assert_allclose(
-        matmul(SIGMA_X, SIGMA_Z), np.array([[0, -1], [1, 0]], dtype=complex), atol=1e-15
+        SIGMA_X @ SIGMA_Z, np.array([[0, -1], [1, 0]], dtype=complex), atol=1e-15
     )
 
 
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-
 def test_kron_cases():
-    np.testing.assert_allclose(kron(ID2, ID2), np.eye(4), atol=1e-15)
-    np.testing.assert_allclose(kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]), atol=1e-15)
+    np.testing.assert_allclose(kron_all(ID2, ID2), np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(kron_all(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]), atol=1e-15)
     np.testing.assert_allclose(
         kron_all(SIGMA_Z, ID2, SIGMA_Z),
         np.diag([1, -1, 1, -1, -1, 1, -1, 1]),
         atol=1e-15,
     )
-
-
-def test_dagger_cases():
-    np.testing.assert_allclose(dagger(ID2), ID2, atol=1e-15)
-    m = np.array([[0, 1j], [0, 0]])
-    np.testing.assert_allclose(dagger(m), np.array([[0, 0], [-1j, 0]]), atol=1e-15)
 
 
 def test_trace_cases():
@@ -84,41 +69,42 @@ def test_is_unitary():
 
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
-        matmul(np.array([[np.nan, 0], [0, 1]]), ID2)
+        as_complex_matrix(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError):
         trace(np.array([[np.inf, 0], [0, 1]]))
-
-
-@given(matrices_2x2)
-@settings(max_examples=50)
-def test_dagger_is_involutive(m):
-    np.testing.assert_allclose(dagger(dagger(m)), m, atol=1e-12)
 
 
 @given(matrices_2x2, matrices_2x2)
 @settings(max_examples=50)
 def test_trace_cyclic(a, b):
-    assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) <= 1e-12 * (1 + max_abs(a) * max_abs(b))
-
-
-@given(matrices_2x2, matrices_2x2)
-@settings(max_examples=50)
-def test_dagger_antihomomorphism(a, b):
-    np.testing.assert_allclose(dagger(matmul(a, b)), matmul(dagger(b), dagger(a)), atol=1e-12)
+    assert abs(trace(a @ b) - trace(b @ a)) <= 1e-12 * (1 + max_abs(a) * max_abs(b))
 
 
 @given(matrices_2x2, matrices_2x2, matrices_2x2)
 @settings(max_examples=30)
 def test_kron_associative(a, b, c):
-    np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-9)
+    np.testing.assert_allclose(
+        kron_all(kron_all(a, b), c), kron_all(a, kron_all(b, c)), atol=1e-9
+    )
 
 
-def test_is_hermitian_and_positivity_smoke():
+def test_check_density_matrix_rejects_negative_minor():
     rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    assert is_hermitian(rho)
-    assert positivity_smoke(rho)
-    bad = np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex)  # minor negative
-    assert not positivity_smoke(bad)
+    np.testing.assert_allclose(check_density_matrix(rho), rho)
+    bad = np.array([[0.5, 0.9], [0.9, 0.5]], dtype=complex)  # 2x2 minor negative
+    with pytest.raises(InvariantViolation):
+        check_density_matrix(bad)
+
+
+def test_check_density_matrix_rejects_negative_eigenvalue_with_positive_minors():
+    # ((1+a)I - aJ)/3 on three levels: every diagonal entry and every 2x2
+    # principal minor is positive, but the eigenvalue (1-2a)/3 is not.
+    a = 0.9
+    rho = np.zeros((8, 8), dtype=complex)
+    rho[:3, :3] = ((1 + a) * np.eye(3) - a * np.ones((3, 3))) / 3
+    assert np.linalg.eigvalsh(rho).min() == pytest.approx((1 - 2 * a) / 3)
+    with pytest.raises(InvariantViolation, match="positive semidefinite"):
+        check_density_matrix(rho)
 
 
 def test_check_density_matrix_rejects_bad_states():
