@@ -35,7 +35,6 @@ from .linalg import (
     InvariantViolation,
     as_complex_matrix,
     check_density_matrix,
-    frozen,
     kron_all,
     max_abs,
 )
@@ -45,6 +44,13 @@ _SIGMA = {0: ID2, 3: SIGMA_Z}
 
 #: Three-qubit index triples in operator order.
 _TRIPLE_INDICES = tuple(itertools.product((0, 3), repeat=3))
+
+#: _PAULIS[n][m]: the n-qubit Pauli product of index tuple m, tuples in
+#: ``itertools.product`` order, stacked as one (2**n, 2**n, 2**n) array.
+_PAULIS = {
+    n: np.stack([kron_all(*(_SIGMA[i] for i in idx)) for idx in itertools.product((0, 3), repeat=n)])
+    for n in (1, 2, 3)
+}
 
 #: _TRIPLE_SIGNS[n, x]: diagonal entry x of the Pauli product of index triple
 #: n.  Bits of n and x are (Alice, Bob, Charlie) from the top; triple n has
@@ -72,20 +78,27 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """An ordered, trace-preserving set of Kraus operators on one dimension."""
+    """An ordered, trace-preserving set of Kraus operators on one dimension.
+
+    ``operators`` is stored as one read-only complex array of shape
+    (K, dim, dim); it may be given as any sequence of dim x dim matrices.
+    """
 
     dim: int
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        ops = tuple(frozen(as_complex_matrix(op)) for op in self.operators)
-        for op in ops:
-            if op.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"Kraus operator shape {op.shape} does not match dim {self.dim}"
-                )
+        ops = np.array(self.operators, dtype=complex)  # ragged input raises ValueError
+        if ops.ndim != 3 or ops.shape[0] < 1 or ops.shape[1:] != (self.dim, self.dim):
+            raise ValueError(
+                f"Kraus operators of shape {ops.shape} are not a non-empty stack of "
+                f"{self.dim}x{self.dim} matrices"
+            )
+        if not np.isfinite(ops).all():
+            raise ValueError("Kraus operators contain non-finite entries")
+        ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
         defect = completeness_defect(ops)
         if defect > DEFAULT_ATOL:
@@ -95,19 +108,19 @@ class KrausSet:
 
 
 def completeness_defect(operators) -> float:
-    """Max-norm of (sum_k A_k† A_k - I)."""
-    ops = [as_complex_matrix(op) for op in operators]
-    dim = ops[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for op in ops:
-        acc += op.conj().T @ op
-    return max_abs(acc - np.eye(dim))
+    """Max-norm of (sum_k A_k† A_k - I) over a (K, d, d) stack of operators."""
+    ops = np.asarray(operators, dtype=complex)
+    return max_abs(np.einsum("kji,kjl->il", ops.conj(), ops) - np.eye(ops.shape[-1]))
+
+
+def _pauli_channel(weights, n: int) -> KrausSet:
+    """The n-qubit Kraus set sqrt(w_m) * _PAULIS[n][m]."""
+    return KrausSet(2**n, np.sqrt(weights)[:, None, None] * _PAULIS[n])
 
 
 def dephasing_single(params: ChannelParams) -> KrausSet:
     """Single-qubit dephasing channel; ``mu`` is ignored at this arity."""
-    p0, p3 = params.error_probabilities()
-    return KrausSet(2, (np.sqrt(p0) * ID2, np.sqrt(p3) * SIGMA_Z))
+    return _pauli_channel(params.error_probabilities(), 1)
 
 
 def product_channel(single: KrausSet, n: int) -> KrausSet:
@@ -120,22 +133,22 @@ def product_channel(single: KrausSet, n: int) -> KrausSet:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     if n == 1:
         return single
-    ops = [
-        kron_all(*(single.operators[k] for k in idx))
-        for idx in itertools.product(range(len(single.operators)), repeat=n)
-    ]
-    return KrausSet(single.dim**n, tuple(ops))
+    ops = single.operators
+    for _ in range(n - 1):
+        # (A_a x B_b)[(i, k), (j, l)] = A_a[i, j] B_b[k, l], operator index (a, b)
+        k, d = ops.shape[0] * len(single.operators), ops.shape[1] * single.dim
+        ops = np.einsum("aij,bkl->abikjl", ops, single.operators).reshape(k, d, d)
+    return KrausSet(single.dim**n, ops)
 
 
 def correlated_pair(params: ChannelParams) -> KrausSet:
     """Two-qubit dephasing with memory, indices (i, j) in {0, 3}^2."""
     p = {0: params.error_probabilities()[0], 3: params.error_probabilities()[1]}
     mu = params.mu
-    ops = []
-    for i, j in itertools.product((0, 3), repeat=2):
-        weight = p[i] * ((1.0 - mu) * p[j] + mu * (i == j))
-        ops.append(np.sqrt(weight) * kron_all(_SIGMA[i], _SIGMA[j]))
-    return KrausSet(4, tuple(ops))
+    weights = [
+        p[i] * ((1.0 - mu) * p[j] + mu * (i == j)) for i, j in itertools.product((0, 3), repeat=2)
+    ]
+    return _pauli_channel(weights, 2)
 
 
 def _triple_weights(params: ChannelParams) -> list[float]:
@@ -154,11 +167,7 @@ def _triple_weights(params: ChannelParams) -> list[float]:
 
 def correlated_triple(params: ChannelParams) -> KrausSet:
     """Three-qubit dephasing with memory, indices (i, j, k) in {0, 3}^3."""
-    ops = [
-        np.sqrt(w) * kron_all(_SIGMA[i], _SIGMA[j], _SIGMA[k])
-        for w, (i, j, k) in zip(_triple_weights(params), _TRIPLE_INDICES)
-    ]
-    return KrausSet(8, tuple(ops))
+    return _pauli_channel(_triple_weights(params), 3)
 
 
 def dephasing_mask(params: ChannelParams) -> np.ndarray:
@@ -180,10 +189,8 @@ def dephasing_mask(params: ChannelParams) -> np.ndarray:
 
 def kraus_sum(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
     """sum_k A_k rho A_k† without any validation (the definition the mask is checked against)."""
-    out = np.zeros_like(rho)
-    for op in ks.operators:
-        out += op @ rho @ op.conj().T
-    return out
+    ops = ks.operators
+    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply_channel(ks: KrausSet, rho, tol: float = DEFAULT_ATOL) -> np.ndarray:

@@ -185,7 +185,7 @@ def cmd_payoff(args) -> int:
     cfg = _config_from(args)
     probs = outcome_probabilities(cfg)
     pay = probs @ cfg.payoffs.as_array()
-    cf = closed_form_payoffs(cfg)
+    cf = closed_form_payoffs(cfg, pipeline=tuple(float(x) for x in pay))
     out = {
         "payoff_A": pay[0],
         "payoff_B": pay[1],

@@ -420,8 +420,11 @@ def closed_form_terms(cfg: GameConfig) -> ClosedFormTerms:
     )
 
 
-def closed_form_payoffs(cfg: GameConfig) -> ClosedFormResult:
+def closed_form_payoffs(cfg: GameConfig, pipeline=None) -> ClosedFormResult:
     """Evaluate the closed-form payoff expression and compare to the pipeline.
+
+    ``pipeline`` takes the caller's ``pipeline_payoffs(cfg)`` when it has them
+    already; by default they are computed here.
 
     The expression is transcribed term by term from its source, including two
     interference blocks (proportional to cos(delta) and cos(gamma)) that are
@@ -507,7 +510,8 @@ def closed_form_payoffs(cfg: GameConfig) -> ClosedFormResult:
         )
         payoffs.append(v)
 
-    pipeline = pipeline_payoffs(cfg)
+    if pipeline is None:
+        pipeline = pipeline_payoffs(cfg)
     diffs = tuple(abs(a - b) for a, b in zip(payoffs, pipeline))
     return ClosedFormResult(
         payoffs=tuple(payoffs),

@@ -15,7 +15,6 @@ import numpy as np
 DEFAULT_ATOL = 1e-12
 
 ID2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -33,13 +32,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def frozen(a: np.ndarray) -> np.ndarray:
-    """Return a read-only view-safe copy of ``a`` (shared, immutable)."""
-    out = np.array(a, dtype=complex)
-    out.flags.writeable = False
-    return out
 
 
 def kron_all(*mats) -> np.ndarray:
@@ -63,14 +55,6 @@ def trace(a) -> complex:
 def max_abs(a) -> float:
     """Max-norm (largest entrywise modulus)."""
     return float(np.max(np.abs(np.asarray(a))))
-
-
-def is_unitary(a, tol: float = DEFAULT_ATOL) -> bool:
-    """True iff max-norm of (a† a - I) is within ``tol``."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"is_unitary requires a square matrix, got {a.shape}")
-    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
 
 
 def check_density_matrix(rho, tol: float = DEFAULT_ATOL) -> np.ndarray:

@@ -19,7 +19,7 @@ from qpd3.channel import (
     product_channel,
 )
 from qpd3.game import initial_state, mu_p_factor
-from qpd3.linalg import ID2, SIGMA_Z, InvariantViolation, max_abs
+from qpd3.linalg import ID2, SIGMA_Z, InvariantViolation, kron_all, max_abs
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -45,6 +45,8 @@ def test_channel_params_validation():
 def test_kraus_set_rejects_incomplete_sets():
     with pytest.raises(InvariantViolation):
         KrausSet(2, (0.5 * ID2,))
+    with pytest.raises(InvariantViolation):
+        KrausSet(2, np.stack([ID2, 0.1 * SIGMA_Z]))
     with pytest.raises(ValueError):
         KrausSet(4, (ID2,))
 
@@ -196,3 +198,122 @@ def test_memoryless_factorization(p, seed):
 def test_apply_channel_dimension_mismatch():
     with pytest.raises(ValueError):
         apply_channel(dephasing_single(ChannelParams(0.5, 0.0)), np.eye(8) / 8)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: stacked constructors and batched sums against literal
+# per-operator loops.
+
+GRID = [float(x) for x in np.linspace(0.0, 1.0, 11)]
+SIGMA = {0: ID2, 3: SIGMA_Z}
+
+
+def literal_product(params, n):
+    p0, p3 = params.error_probabilities()
+    single = (math.sqrt(p0) * ID2, math.sqrt(p3) * SIGMA_Z)
+    return [kron_all(*(single[k] for k in idx)) for idx in itertools.product(range(2), repeat=n)]
+
+
+def literal_pair(params):
+    p = dict(zip((0, 3), params.error_probabilities()))
+    mu = params.mu
+    return [
+        math.sqrt(p[i] * ((1 - mu) * p[j] + mu * (i == j))) * kron_all(SIGMA[i], SIGMA[j])
+        for i, j in itertools.product((0, 3), repeat=2)
+    ]
+
+
+def literal_triple(params):
+    p = dict(zip((0, 3), params.error_probabilities()))
+    mu = params.mu
+    return [
+        math.sqrt(((1 - mu) * p[i] + mu * (i == j)) * ((1 - mu) * p[j] + mu * (j == k)) * p[k])
+        * kron_all(SIGMA[i], SIGMA[j], SIGMA[k])
+        for i, j, k in itertools.product((0, 3), repeat=3)
+    ]
+
+
+CONSTRUCTORS = {
+    "product2": (lambda c: product_channel(dephasing_single(c), 2), lambda c: literal_product(c, 2)),
+    "product3": (lambda c: product_channel(dephasing_single(c), 3), lambda c: literal_product(c, 3)),
+    "pair": (correlated_pair, literal_pair),
+    "triple": (correlated_triple, literal_triple),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructor_matches_literal_kron_loop(name):
+    build, literal = CONSTRUCTORS[name]
+    for p in GRID:
+        for mu in GRID:
+            params = ChannelParams(p, mu)
+            ks = build(params)
+            want = literal(params)
+            assert ks.operators.shape == (len(want), ks.dim, ks.dim)
+            np.testing.assert_allclose(ks.operators, np.array(want), rtol=0, atol=1e-15)
+
+
+def random_kraus_stack(rng, k, dim):
+    """k operators whose stacked columns are an isometry, so sum A†A = I."""
+    z = rng.normal(size=(k * dim, dim)) + 1j * rng.normal(size=(k * dim, dim))
+    q, _ = np.linalg.qr(z)
+    return q.reshape(k, dim, dim)
+
+
+def test_completeness_defect_matches_explicit_sum():
+    rng = np.random.default_rng(3)
+    for k, dim in ((1, 2), (3, 2), (4, 4), (8, 8)):
+        complete = random_kraus_stack(rng, k, dim)
+        for ops in (complete, 0.9 * complete, complete + 0.01 * rng.normal(size=complete.shape)):
+            acc = np.zeros((dim, dim), dtype=complex)
+            for op in ops:
+                acc += op.conj().T @ op
+            want = np.max(np.abs(acc - np.eye(dim)))
+            assert completeness_defect(ops) == pytest.approx(want, rel=0, abs=1e-15)
+
+
+def test_kraus_sum_matches_explicit_sum():
+    rng = np.random.default_rng(4)
+    for k, dim in ((1, 2), (3, 2), (4, 4), (8, 8)):
+        ks = KrausSet(dim, random_kraus_stack(rng, k, dim))
+        rho = random_density(rng, dim)
+        want = np.zeros((dim, dim), dtype=complex)
+        for op in ks.operators:
+            want += op @ rho @ op.conj().T
+        np.testing.assert_allclose(kraus_sum(ks, rho), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "dim, operators",
+    [
+        (2, (np.array([[np.nan, 0], [0, 1]]),)),
+        (2, (ID2, np.array([[0, np.inf], [0, 0]]))),
+        (2, (ID2, np.eye(3))),
+        (2, (ID2, [[1, 0]])),
+        (4, (ID2,)),
+        (2, np.eye(2)),
+        (2, ()),
+        (2, np.zeros((0, 2, 2))),
+        (0, ()),
+    ],
+    ids=["nan", "inf", "ragged", "ragged-row", "wrong-dim", "bare-matrix", "empty", "empty-stack",
+         "zero-dim"],
+)
+def test_kraus_set_rejects_malformed_operators(dim, operators):
+    with pytest.raises(ValueError):
+        KrausSet(dim, operators)
+
+
+def test_kraus_set_operators_are_read_only():
+    ops = [math.sqrt(0.5) * ID2, math.sqrt(0.5) * SIGMA_Z]
+    ks = KrausSet(2, ops)
+    assert isinstance(ks.operators, np.ndarray) and ks.operators.shape == (2, 2, 2)
+    with pytest.raises(ValueError):
+        ks.operators[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        ks.operators[1] *= 2.0
+    with pytest.raises(AttributeError):
+        ks.operators = np.stack(ops)
+    # the stack is a copy: changing the input does not reach the set
+    ops[0][0, 0] = 5.0
+    assert ks.operators[0, 0, 0] == math.sqrt(0.5)

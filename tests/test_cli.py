@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qpd3 import cli, game
 from qpd3.cli import main, parse_angle
 
 
@@ -56,6 +57,31 @@ def test_payoff_in_unit_range_with_noise(capsys):
     data = json.loads(out)
     for key in ("payoff_A", "payoff_B", "payoff_C"):
         assert 0.0 <= data[key] <= 5.0
+
+
+def test_payoff_runs_the_validated_pipeline_once(capsys, monkeypatch):
+    calls = []
+    original = game.outcome_probabilities
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # cli calls it directly, closed_form_payoffs through game.pipeline_payoffs
+    monkeypatch.setattr(cli, "outcome_probabilities", counting)
+    monkeypatch.setattr(game, "outcome_probabilities", counting)
+    code, out, _ = run_cli(
+        capsys, "payoff", "--gamma", "1.1", "--delta", "0.7", "--p", "0.3", "--mu", "0.6",
+        "--strategy", "A:1,0.5,-0.2", "--strategy", "C:pi/2,pi/2,0",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    data = json.loads(out)
+    pipeline = [data[key] for key in ("payoff_A", "payoff_B", "payoff_C")]
+    closed = data["closed_form"]
+    assert closed["max_abs_discrepancy"] == max(
+        abs(v - w) for v, w in zip(closed["values"], pipeline)
+    )
 
 
 def test_unknown_flag_is_an_error(capsys):
