@@ -3,92 +3,8 @@
 A density-matrix simulator for the quantized game (entangled initial state,
 local unitary strategies, entangled measurement basis) played through a
 memoryful dephasing channel, plus sweep/surface/equilibrium analysis tools
-and a CLI.
+and a CLI.  The Python API lives in the submodules (``qpd3.game``,
+``qpd3.channel``, ``qpd3.analysis``, ...); this package exports nothing else.
 """
 
-from .analysis import (
-    BestResponseResult,
-    NashCheckResult,
-    SweepSpec,
-    best_response,
-    grid_points,
-    is_surface_maximizer,
-    nash_check,
-    strategy_surface,
-    surface_argmax,
-    sweep,
-)
-from .channel import (
-    ChannelParams,
-    KrausSet,
-    apply_channel,
-    completeness_defect,
-    correlated_pair,
-    correlated_triple,
-    dephasing_single,
-    product_channel,
-)
-from .game import (
-    BASIS_READING,
-    COOPERATE,
-    DEFECT,
-    ClosedFormResult,
-    ClosedFormTerms,
-    GameConfig,
-    OUTCOMES,
-    PayoffTable,
-    StrategyParams,
-    classical_payoff,
-    closed_form_payoffs,
-    final_state,
-    initial_state,
-    measurement_projectors,
-    mu_p_factor,
-    outcome_probabilities,
-    pipeline_payoffs,
-    strategy_unitary,
-)
-from .linalg import DEFAULT_ATOL, InvariantViolation
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BASIS_READING",
-    "BestResponseResult",
-    "COOPERATE",
-    "ChannelParams",
-    "ClosedFormResult",
-    "ClosedFormTerms",
-    "DEFAULT_ATOL",
-    "DEFECT",
-    "GameConfig",
-    "InvariantViolation",
-    "KrausSet",
-    "NashCheckResult",
-    "OUTCOMES",
-    "PayoffTable",
-    "StrategyParams",
-    "SweepSpec",
-    "apply_channel",
-    "best_response",
-    "classical_payoff",
-    "closed_form_payoffs",
-    "completeness_defect",
-    "correlated_pair",
-    "correlated_triple",
-    "dephasing_single",
-    "final_state",
-    "grid_points",
-    "initial_state",
-    "is_surface_maximizer",
-    "measurement_projectors",
-    "mu_p_factor",
-    "nash_check",
-    "outcome_probabilities",
-    "pipeline_payoffs",
-    "product_channel",
-    "strategy_surface",
-    "strategy_unitary",
-    "surface_argmax",
-    "sweep",
-]

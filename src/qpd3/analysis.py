@@ -135,26 +135,26 @@ def strategy_surface(spec: SweepSpec) -> list[tuple[float, float, float]]:
     return [(float(x), float(y), float(v)) for x, y, v in zip(a.ravel(), t.ravel(), values)]
 
 
-def surface_argmax(rows, tie_tol: float = TIE_TOL) -> tuple[float, float, float]:
+def surface_argmax(rows) -> tuple[float, float, float]:
     """(alpha1, theta1, value) of the maximising grid point.
 
     Exact ridges of tied maxima occur on these surfaces, so ties within
-    ``tie_tol`` are broken deterministically: smallest theta1, then smallest
+    ``TIE_TOL`` are broken deterministically: smallest theta1, then smallest
     alpha1.
     """
     best_val = max(r[2] for r in rows)
-    tied = [r for r in rows if r[2] >= best_val - tie_tol]
+    tied = [r for r in rows if r[2] >= best_val - TIE_TOL]
     tied.sort(key=lambda r: (r[1], r[0]))
     a, t, _ = tied[0]
     return (a, t, best_val)
 
 
-def is_surface_maximizer(rows, alpha1: float, theta1: float, tol: float = TIE_TOL) -> bool:
-    """True iff the given on-grid point attains the grid maximum within ``tol``."""
+def is_surface_maximizer(rows, alpha1: float, theta1: float) -> bool:
+    """True iff the given on-grid point attains the grid maximum within ``TIE_TOL``."""
     best_val = max(r[2] for r in rows)
     for a, t, v in rows:
         if abs(a - alpha1) <= 1e-12 and abs(t - theta1) <= 1e-12:
-            return v >= best_val - tol
+            return v >= best_val - TIE_TOL
     raise ValueError(f"({alpha1}, {theta1}) is not a grid point of this surface")
 
 

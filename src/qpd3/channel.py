@@ -24,7 +24,7 @@ Zero-weight operators are kept so the index bookkeeping stays uniform.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,10 +82,12 @@ class KrausSet:
 
     ``operators`` is stored as one read-only complex array of shape
     (K, dim, dim); it may be given as any sequence of dim x dim matrices.
+    ``defect`` is the :func:`completeness_defect` measured at construction.
     """
 
     dim: int
     operators: np.ndarray
+    defect: float = field(init=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -105,6 +107,7 @@ class KrausSet:
             raise InvariantViolation(
                 f"Kraus set is not trace preserving: |sum A†A - I| = {defect:.3e}"
             )
+        object.__setattr__(self, "defect", defect)
 
 
 def completeness_defect(operators) -> float:
@@ -193,7 +196,7 @@ def kraus_sum(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
     return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
-def apply_channel(ks: KrausSet, rho, tol: float = DEFAULT_ATOL) -> np.ndarray:
+def apply_channel(ks: KrausSet, rho) -> np.ndarray:
     """Apply the channel to a density matrix and re-validate the output.
 
     Raises ValueError on a dimension mismatch and InvariantViolation if the
@@ -203,8 +206,8 @@ def apply_channel(ks: KrausSet, rho, tol: float = DEFAULT_ATOL) -> np.ndarray:
     if rho.shape != (ks.dim, ks.dim):
         raise ValueError(f"state shape {rho.shape} does not match channel dim {ks.dim}")
     defect = completeness_defect(ks.operators)
-    if defect > tol:
+    if defect > DEFAULT_ATOL:
         raise InvariantViolation(
             f"Kraus set is not trace preserving: |sum A†A - I| = {defect:.3e}"
         )
-    return check_density_matrix(kraus_sum(ks, rho), tol)
+    return check_density_matrix(kraus_sum(ks, rho))

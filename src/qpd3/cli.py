@@ -95,12 +95,12 @@ def parse_player_strategy(text: str) -> tuple[str, StrategyParams]:
 
 
 _PRESETS = {
-    # sweep presets: (strategy profile, swept variable, fixed p, fixed mu)
-    "fig2": ("sweep", "p", None, 0.0),
-    "fig3": ("sweep", "mu", 0.3, None),
+    # sweep presets: (swept variable, fixed p, fixed mu)
+    "fig2": ("p", None, 0.0),
+    "fig3": ("mu", 0.3, None),
     # surface presets: (p, mu)
-    "fig4": ("surface", 0.3, 0.3),
-    "fig5": ("surface", 0.7, 0.7),
+    "fig4": (0.3, 0.3),
+    "fig5": (0.7, 0.7),
 }
 
 
@@ -133,12 +133,8 @@ def _load_table(args) -> PayoffTable:
         return PayoffTable()
     try:
         return PayoffTable.from_json(args.table)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        raise SystemExit2(f"cannot load payoff table {args.table!r}: {exc}")
-
-
-class SystemExit2(Exception):
-    """Argument-level error discovered after parsing; exits with code 2."""
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load payoff table {args.table!r}: {exc}") from exc
 
 
 def _strategies_from(args, default=None):
@@ -156,17 +152,14 @@ def _config_from(args, default_strategies=None) -> GameConfig:
     mu = args.mu if args.mu is not None else 0.0
     p2 = p if args.p2 is None else args.p2
     mu2 = mu if args.mu2 is None else args.mu2
-    try:
-        return GameConfig(
-            gamma=args.gamma,
-            delta=args.delta,
-            passage1=ChannelParams(p, mu),
-            passage2=ChannelParams(p2, mu2),
-            strategies=_strategies_from(args, default_strategies),
-            payoffs=_load_table(args),
-        )
-    except ValueError as exc:
-        raise SystemExit2(str(exc))
+    return GameConfig(
+        gamma=args.gamma,
+        delta=args.delta,
+        passage1=ChannelParams(p, mu),
+        passage2=ChannelParams(p2, mu2),
+        strategies=_strategies_from(args, default_strategies),
+        payoffs=_load_table(args),
+    )
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -203,7 +196,7 @@ def cmd_payoff(args) -> int:
 def cmd_sweep(args) -> int:
     default_strategies = None
     if args.preset:
-        _, var, fixed_p, fixed_mu = _PRESETS[args.preset]
+        var, fixed_p, fixed_mu = _PRESETS[args.preset]
         default_strategies = presets.sweep_profile()
         if args.var is None:
             args.var = var
@@ -212,7 +205,7 @@ def cmd_sweep(args) -> int:
         if args.mu is None and fixed_mu is not None:
             args.mu = fixed_mu
     if args.var is None:
-        raise SystemExit2("--var is required (p or mu) unless a sweep preset is given")
+        raise ValueError("--var is required (p or mu) unless a sweep preset is given")
     cfg = _config_from(args, default_strategies)
     spec = analysis.SweepSpec(args.var, args.grid, cfg)
     rows = analysis.sweep(spec)
@@ -223,7 +216,7 @@ def cmd_sweep(args) -> int:
 def cmd_surface(args) -> int:
     default_strategies = presets.surface_profile()
     if args.preset:
-        _, p, mu = _PRESETS[args.preset]
+        p, mu = _PRESETS[args.preset]
         if args.p is None:
             args.p = p
         if args.mu is None:
@@ -349,9 +342,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

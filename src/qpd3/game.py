@@ -269,17 +269,13 @@ class PreparedGame:
         self.table = cfg.payoffs.as_array()
         self.observables = np.einsum("mk,mxy->kxy", self.table, self.mask2 * self.projectors)
 
-    def final_state(self, strategies) -> np.ndarray:
+    def conjugated(self, strategies) -> np.ndarray:
+        """rho2 = U rho1 U†, the once-dephased state after the players' moves."""
         u = _kron3(_profile_unitaries(strategies))
-        return self.mask2 * (u @ self.rho1 @ u.conj().T)
-
-    def probabilities_of(self, rho3: np.ndarray) -> np.ndarray:
-        return np.einsum("mxy,yx->m", self.projectors, rho3).real
+        return u @ self.rho1 @ u.conj().T
 
     def payoffs(self, strategies) -> tuple[float, float, float]:
-        u = _kron3(_profile_unitaries(strategies))
-        rho2 = u @ self.rho1 @ u.conj().T
-        pay = np.einsum("kxy,yx->k", self.observables, rho2).real
+        pay = np.einsum("kxy,yx->k", self.observables, self.conjugated(strategies)).real
         return (float(pay[0]), float(pay[1]), float(pay[2]))
 
     def deviation_form(self, strategies, idx: int, k: int) -> np.ndarray:
@@ -305,22 +301,19 @@ class PreparedGame:
         return form.reshape(4, 4)
 
 
-def final_state(cfg: GameConfig, tol: float = DEFAULT_ATOL) -> np.ndarray:
-    """State after channel -> strategies -> channel, validated at each stage."""
-    check_density_matrix(initial_state(cfg.gamma), tol)
-    prepared = PreparedGame(cfg)
-    check_density_matrix(prepared.rho1, tol)
-    return check_density_matrix(prepared.final_state(cfg.strategies), tol)
+def outcome_probabilities(cfg: GameConfig) -> np.ndarray:
+    """Probabilities of the eight measurement outcomes, in label order.
 
-
-def outcome_probabilities(cfg: GameConfig, tol: float = DEFAULT_ATOL) -> np.ndarray:
-    """Probabilities of the eight measurement outcomes, in label order."""
+    The validated evaluation: the state after each channel passage,
+    rho1 = M1 o rho_in and rho3 = M2 o (U rho1 U†), must pass
+    :func:`check_density_matrix`, and the probabilities must sum to 1.
+    """
     prepared = PreparedGame(cfg)
-    check_density_matrix(prepared.rho1, tol)
-    rho3 = check_density_matrix(prepared.final_state(cfg.strategies), tol)
-    probs = prepared.probabilities_of(rho3)
+    check_density_matrix(prepared.rho1)
+    rho3 = check_density_matrix(prepared.mask2 * prepared.conjugated(cfg.strategies))
+    probs = np.einsum("mxy,yx->m", prepared.projectors, rho3).real
     total = probs.sum()
-    if abs(total - 1.0) > max(tol, 1e-10):
+    if abs(total - 1.0) > 1e-10:
         raise InvariantViolation(f"outcome probabilities sum to {total}, not 1")
     return probs
 
@@ -420,11 +413,11 @@ def closed_form_terms(cfg: GameConfig) -> ClosedFormTerms:
     )
 
 
-def closed_form_payoffs(cfg: GameConfig, pipeline=None) -> ClosedFormResult:
+def closed_form_payoffs(cfg: GameConfig, pipeline) -> ClosedFormResult:
     """Evaluate the closed-form payoff expression and compare to the pipeline.
 
-    ``pipeline`` takes the caller's ``pipeline_payoffs(cfg)`` when it has them
-    already; by default they are computed here.
+    ``pipeline`` is ``pipeline_payoffs(cfg)``, the authoritative payoffs the
+    closed form is compared against.
 
     The expression is transcribed term by term from its source, including two
     interference blocks (proportional to cos(delta) and cos(gamma)) that are
@@ -510,8 +503,6 @@ def closed_form_payoffs(cfg: GameConfig, pipeline=None) -> ClosedFormResult:
         )
         payoffs.append(v)
 
-    if pipeline is None:
-        pipeline = pipeline_payoffs(cfg)
     diffs = tuple(abs(a - b) for a, b in zip(payoffs, pipeline))
     return ClosedFormResult(
         payoffs=tuple(payoffs),

@@ -57,23 +57,27 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(np.asarray(a))))
 
 
-def check_density_matrix(rho, tol: float = DEFAULT_ATOL) -> np.ndarray:
+def check_density_matrix(rho) -> np.ndarray:
     """Validate a density matrix (Hermitian, unit trace, positive semidefinite).
 
-    Returns the coerced array on success, raises InvariantViolation on the
-    first failed property.
+    Each property is checked to ``DEFAULT_ATOL``.  Returns the coerced array
+    on success, raises InvariantViolation on the first failed property.
     """
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
     herm_defect = max_abs(rho - rho.conj().T)
-    if herm_defect > tol:
-        raise InvariantViolation(f"state is not Hermitian: defect {herm_defect:.3e} > {tol:.1e}")
+    if herm_defect > DEFAULT_ATOL:
+        raise InvariantViolation(
+            f"state is not Hermitian: defect {herm_defect:.3e} > {DEFAULT_ATOL:.1e}"
+        )
     tr = trace(rho)
-    if abs(tr - 1.0) > tol:
-        raise InvariantViolation(f"state trace {tr} deviates from 1 by more than {tol:.1e}")
+    if abs(tr - 1.0) > DEFAULT_ATOL:
+        raise InvariantViolation(
+            f"state trace {tr} deviates from 1 by more than {DEFAULT_ATOL:.1e}"
+        )
     smallest = np.linalg.eigvalsh(rho).min()
-    if smallest < -tol:
+    if smallest < -DEFAULT_ATOL:
         raise InvariantViolation(
             f"state is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
         )

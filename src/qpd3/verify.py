@@ -20,7 +20,6 @@ from . import analysis, presets
 from .channel import (
     ChannelParams,
     apply_channel,
-    completeness_defect,
     correlated_pair,
     correlated_triple,
     dephasing_single,
@@ -107,7 +106,7 @@ def check_channel_soundness(seed: int) -> CheckResult:
             single = dephasing_single(params)
             for ks in (single, product_channel(single, 3), correlated_pair(params),
                        correlated_triple(params)):
-                worst_defect = max(worst_defect, completeness_defect(ks.operators))
+                worst_defect = max(worst_defect, ks.defect)
     rng = np.random.default_rng(seed)
     worst_state = 0.0
     for _ in range(100):
@@ -217,7 +216,7 @@ def check_surface_argmax_invariance() -> CheckResult:
                 "alpha1_theta1_surface", (alphas, thetas), presets.surface_config(p, mu)
             )
             rows = analysis.strategy_surface(spec)
-            if not analysis.is_surface_maximizer(rows, HALF_PI, HALF_PI, tol=1e-12):
+            if not analysis.is_surface_maximizer(rows, HALF_PI, HALF_PI):
                 failures.append((p, mu))
             a, t, _ = analysis.surface_argmax(rows)
             argmaxes.add((round(a, 12), round(t, 12)))
@@ -263,8 +262,11 @@ def check_closed_form(report_path: Path | None) -> CheckResult:
         GameConfig(HALF_PI, HALF_PI, off, off, (COOPERATE,) * 3),
         GameConfig(HALF_PI, HALF_PI, off, off, (DEFECT,) * 3),
     ]
-    worst = max(closed_form_payoffs(cfg).max_abs_discrepancy for cfg in anchors)
-    report = closed_form_payoffs(presets.sweep_config(0.5, 0.5))
+    worst = max(
+        closed_form_payoffs(cfg, pipeline_payoffs(cfg)).max_abs_discrepancy for cfg in anchors
+    )
+    half = presets.sweep_config(0.5, 0.5)
+    report = closed_form_payoffs(half, pipeline_payoffs(half))
     persisted = "not persisted"
     if report_path is not None:
         report_path = Path(report_path)

@@ -108,7 +108,7 @@ def test_surface_claimed_point_is_maximal(p, mu):
     thetas = grid_points(0, math.pi, 41)
     spec = SweepSpec("alpha1_theta1_surface", (alphas, thetas), presets.surface_config(p, mu))
     rows = strategy_surface(spec)
-    assert is_surface_maximizer(rows, HPI, HPI, tol=1e-12)
+    assert is_surface_maximizer(rows, HPI, HPI)
 
 
 def test_surface_argmax_tiebreak_deterministic():

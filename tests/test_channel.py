@@ -317,3 +317,13 @@ def test_kraus_set_operators_are_read_only():
     # the stack is a copy: changing the input does not reach the set
     ops[0][0, 0] = 5.0
     assert ks.operators[0, 0, 0] == math.sqrt(0.5)
+
+
+def test_kraus_set_keeps_its_completeness_defect():
+    for p in GRID:
+        for mu in GRID:
+            params = ChannelParams(p, mu)
+            single = dephasing_single(params)
+            for ks in (single, product_channel(single, 3), correlated_pair(params),
+                       correlated_triple(params)):
+                assert ks.defect == completeness_defect(ks.operators)

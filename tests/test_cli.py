@@ -3,9 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qpd3 import cli, game
+from qpd3.channel import ChannelParams
 from qpd3.cli import main, parse_angle
 
 
@@ -67,7 +69,7 @@ def test_payoff_runs_the_validated_pipeline_once(capsys, monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    # cli calls it directly, closed_form_payoffs through game.pipeline_payoffs
+    # cli calls it directly; any call through game.pipeline_payoffs is counted too
     monkeypatch.setattr(cli, "outcome_probabilities", counting)
     monkeypatch.setattr(game, "outcome_probabilities", counting)
     code, out, _ = run_cli(
@@ -96,6 +98,24 @@ def test_invalid_value_is_an_error(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "payoff", "--strategy", "Z:0,0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["passage1", "passage2"])
+def test_invariant_violation_exits_3(capsys, monkeypatch, bad):
+    # Diagonal 1 keeps the trace, off-diagonal 2 breaks positivity: the
+    # validated path must catch it after either channel passage.
+    bad_mask = np.full((8, 8), 2.0)
+    np.fill_diagonal(bad_mask, 1.0)
+    bad_params = {"passage1": ChannelParams(0.2, 0.0), "passage2": ChannelParams(0.4, 0.0)}[bad]
+    original = game._channel_cached
+    monkeypatch.setattr(
+        game, "_channel_cached",
+        lambda params: bad_mask if params == bad_params else original(params),
+    )
+    code, out, err = run_cli(capsys, "payoff", "--p", "0.2", "--p2", "0.4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical invariant violation")
 
 
 def test_sweep_grid_contract(capsys):

@@ -254,7 +254,7 @@ def test_closed_form_matches_pipeline_at_anchors():
     for strategies in ((COOPERATE,) * 3, (DEFECT,) * 3):
         for gamma_delta in (0.0, HPI):
             cfg = make_config(gamma=gamma_delta, delta=gamma_delta, strategies=strategies)
-            res = closed_form_payoffs(cfg)
+            res = closed_form_payoffs(cfg, pipeline_payoffs(cfg))
             assert res.max_abs_discrepancy <= 1e-9
 
 
@@ -264,7 +264,7 @@ def test_closed_form_exact_at_maximal_entanglement(p1, mu1, p2, mu2, s1, s2, s3)
     # both interference blocks vanish at gamma = delta = pi/2, where the
     # closed form is an exact description of the pipeline
     cfg = make_config(HPI, HPI, p1, mu1, p2, mu2, (s1, s2, s3))
-    res = closed_form_payoffs(cfg)
+    res = closed_form_payoffs(cfg, pipeline_payoffs(cfg))
     assert res.max_abs_discrepancy <= 1e-12
 
 
@@ -272,7 +272,7 @@ def test_closed_form_report_structure():
     cfg = make_config(gamma=0.9, delta=0.6, p1=0.3, mu1=0.4, strategies=(
         StrategyParams(1.0, 0.5, -0.5), StrategyParams(HPI, 0, 0), StrategyParams(2.0, 1.0, 1.0),
     ))
-    res = closed_form_payoffs(cfg)
+    res = closed_form_payoffs(cfg, pipeline_payoffs(cfg))
     d = res.as_dict()
     assert set(d) == {
         "payoffs", "pipeline_payoffs", "per_player_discrepancy",
