@@ -9,7 +9,7 @@ grid order regardless of how the evaluations might be scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,17 +106,13 @@ def sweep(spec: SweepSpec) -> list[tuple[float, float, float, float]]:
     """
     if spec.variable not in ("p", "mu"):
         raise ValueError("sweep handles 'p' and 'mu'; use strategy_surface for surfaces")
+    base = spec.base
     rows = []
-    for i, x in enumerate(spec.grid):
-        try:
-            if spec.variable == "p":
-                params = ChannelParams(p=x, mu=spec.base.passage1.mu)
-            else:
-                params = ChannelParams(p=spec.base.passage1.p, mu=x)
-            cfg = spec.base.with_noise(params)
-            pay = PreparedGame(cfg).payoffs(cfg.strategies)
-        except Exception as exc:
-            raise RuntimeError(f"sweep failed at grid index {i} (x={x}): {exc}") from exc
+    for x in spec.grid:
+        p, mu = (x, base.passage1.mu) if spec.variable == "p" else (base.passage1.p, x)
+        params = ChannelParams(p=p, mu=mu)
+        cfg = GameConfig(base.gamma, base.delta, params, params, base.strategies, base.payoffs)
+        pay = PreparedGame(cfg).payoffs(cfg.strategies)
         rows.append((float(x), pay[0], pay[1], pay[2]))
     return rows
 
@@ -229,7 +225,7 @@ class NashCheckResult:
 def nash_check(cfg: GameConfig, profile, resolution: int = 25) -> NashCheckResult:
     """True iff no player's grid best response beats the profile by > 1e-9."""
     profile = tuple(profile)
-    base = cfg.with_strategies(profile)
+    base = replace(cfg, strategies=profile)
     gains = []
     bests = []
     for idx in range(3):

@@ -1,43 +1,32 @@
-"""Dephasing Kraus channels, uncorrelated and with nearest-neighbour memory.
+"""The correlated three-qubit dephasing channel with nearest-neighbour memory.
 
-The single-qubit dephasing channel with decoherence parameter ``p`` has Kraus
-operators
+Each qubit suffers a sigma_z error with probability p/2, i.e. error
+probabilities (p0, p3) = (1 - p/2, p/2) for the identity and the sigma_z
+error.  The errors on neighbouring qubits are correlated with degree ``mu``;
+the Kraus operators are
 
-    A0 = sqrt(1 - p/2) I,     A1 = sqrt(p/2) sigma_z
-
-i.e. error probabilities (p0, p3) = (1 - p/2, p/2) for the identity and the
-sigma_z error.  The memoryful extensions correlate the errors on neighbouring
-qubits with degree ``mu``:
-
-    two qubits:    A_ij  = sqrt( p_i [(1-mu) p_j + mu d_ij] ) sigma_i x sigma_j
-    three qubits:  A_ijk = sqrt( [(1-mu) p_i + mu d_ij]
-                                 [(1-mu) p_j + mu d_jk] p_k ) sigma_i x sigma_j x sigma_k
+    A_ijk = sqrt( [(1-mu) p_i + mu d_ij]
+                  [(1-mu) p_j + mu d_jk] p_k ) sigma_i x sigma_j x sigma_k
 
 with indices in {0, 3} (identity, sigma_z) and d the Kronecker delta.  The
-three-qubit weight chains the deltas asymmetrically (d_ij then d_jk, bare p_k
-last); that ordering is kept literally and the permutation-symmetrised
-alternative is deliberately not used.  With mu=0 the weights factor into
-p_i p_j p_k (independent errors); with mu=1 only identical errors survive.
-Zero-weight operators are kept so the index bookkeeping stays uniform.
+weight chains the deltas asymmetrically (d_ij then d_jk, bare p_k last); that
+ordering is kept literally and the permutation-symmetrised alternative is
+deliberately not used.  With mu=0 the weights factor into p_i p_j p_k
+(independent errors); with mu=1 only identical errors survive.  Zero-weight
+operators are kept so the index bookkeeping stays uniform.
+
+:func:`correlated_triple` builds the operators, which define the channel;
+:func:`dephasing_mask` is the elementwise mask the evaluations run.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_ATOL,
-    ID2,
-    SIGMA_Z,
-    InvariantViolation,
-    as_complex_matrix,
-    check_density_matrix,
-    kron_all,
-    max_abs,
-)
+from .linalg import DEFAULT_ATOL, ID2, SIGMA_Z, InvariantViolation, max_abs
 
 #: Pauli operators selected by the channel index set {0, 3}.
 _SIGMA = {0: ID2, 3: SIGMA_Z}
@@ -45,12 +34,11 @@ _SIGMA = {0: ID2, 3: SIGMA_Z}
 #: Three-qubit index triples in operator order.
 _TRIPLE_INDICES = tuple(itertools.product((0, 3), repeat=3))
 
-#: _PAULIS[n][m]: the n-qubit Pauli product of index tuple m, tuples in
-#: ``itertools.product`` order, stacked as one (2**n, 2**n, 2**n) array.
-_PAULIS = {
-    n: np.stack([kron_all(*(_SIGMA[i] for i in idx)) for idx in itertools.product((0, 3), repeat=n)])
-    for n in (1, 2, 3)
-}
+#: _TRIPLE_PAULIS[m]: sigma_i x sigma_j x sigma_k of the m-th index triple.  Built
+#: apart from _TRIPLE_SIGNS, so the operators and the mask check each other.
+_TRIPLE_PAULIS = np.stack(
+    [np.kron(np.kron(_SIGMA[i], _SIGMA[j]), _SIGMA[k]) for i, j, k in _TRIPLE_INDICES]
+)
 
 #: _TRIPLE_SIGNS[n, x]: diagonal entry x of the Pauli product of index triple
 #: n.  Bits of n and x are (Alice, Bob, Charlie) from the top; triple n has
@@ -76,82 +64,9 @@ class ChannelParams:
         return (1.0 - self.p / 2.0, self.p / 2.0)
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    """An ordered, trace-preserving set of Kraus operators on one dimension.
-
-    ``operators`` is stored as one read-only complex array of shape
-    (K, dim, dim); it may be given as any sequence of dim x dim matrices.
-    ``defect`` is the :func:`completeness_defect` measured at construction.
-    """
-
-    dim: int
-    operators: np.ndarray
-    defect: float = field(init=False)
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
-        ops = np.array(self.operators, dtype=complex)  # ragged input raises ValueError
-        if ops.ndim != 3 or ops.shape[0] < 1 or ops.shape[1:] != (self.dim, self.dim):
-            raise ValueError(
-                f"Kraus operators of shape {ops.shape} are not a non-empty stack of "
-                f"{self.dim}x{self.dim} matrices"
-            )
-        if not np.isfinite(ops).all():
-            raise ValueError("Kraus operators contain non-finite entries")
-        ops.flags.writeable = False
-        object.__setattr__(self, "operators", ops)
-        defect = completeness_defect(ops)
-        if defect > DEFAULT_ATOL:
-            raise InvariantViolation(
-                f"Kraus set is not trace preserving: |sum A†A - I| = {defect:.3e}"
-            )
-        object.__setattr__(self, "defect", defect)
-
-
-def completeness_defect(operators) -> float:
+def completeness_defect(ops: np.ndarray) -> float:
     """Max-norm of (sum_k A_k† A_k - I) over a (K, d, d) stack of operators."""
-    ops = np.asarray(operators, dtype=complex)
     return max_abs(np.einsum("kji,kjl->il", ops.conj(), ops) - np.eye(ops.shape[-1]))
-
-
-def _pauli_channel(weights, n: int) -> KrausSet:
-    """The n-qubit Kraus set sqrt(w_m) * _PAULIS[n][m]."""
-    return KrausSet(2**n, np.sqrt(weights)[:, None, None] * _PAULIS[n])
-
-
-def dephasing_single(params: ChannelParams) -> KrausSet:
-    """Single-qubit dephasing channel; ``mu`` is ignored at this arity."""
-    return _pauli_channel(params.error_probabilities(), 1)
-
-
-def product_channel(single: KrausSet, n: int) -> KrausSet:
-    """Uncorrelated n-qubit extension: all n-fold tensor products of ``single``.
-
-    Operator order follows ``itertools.product`` over the index tuples, with
-    tuple position mapping to tensor slot left to right.
-    """
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
-    if n == 1:
-        return single
-    ops = single.operators
-    for _ in range(n - 1):
-        # (A_a x B_b)[(i, k), (j, l)] = A_a[i, j] B_b[k, l], operator index (a, b)
-        k, d = ops.shape[0] * len(single.operators), ops.shape[1] * single.dim
-        ops = np.einsum("aij,bkl->abikjl", ops, single.operators).reshape(k, d, d)
-    return KrausSet(single.dim**n, ops)
-
-
-def correlated_pair(params: ChannelParams) -> KrausSet:
-    """Two-qubit dephasing with memory, indices (i, j) in {0, 3}^2."""
-    p = {0: params.error_probabilities()[0], 3: params.error_probabilities()[1]}
-    mu = params.mu
-    weights = [
-        p[i] * ((1.0 - mu) * p[j] + mu * (i == j)) for i, j in itertools.product((0, 3), repeat=2)
-    ]
-    return _pauli_channel(weights, 2)
 
 
 def _triple_weights(params: ChannelParams) -> list[float]:
@@ -168,9 +83,24 @@ def _triple_weights(params: ChannelParams) -> list[float]:
     ]
 
 
-def correlated_triple(params: ChannelParams) -> KrausSet:
-    """Three-qubit dephasing with memory, indices (i, j, k) in {0, 3}^3."""
-    return _pauli_channel(_triple_weights(params), 3)
+def correlated_triple(params: ChannelParams) -> np.ndarray:
+    """The Kraus operators A_ijk, as a read-only (8, 8, 8) stack in index order.
+
+    Completeness, sum A†A = I, is checked at construction.
+    """
+    ops = np.sqrt(_triple_weights(params))[:, None, None] * _TRIPLE_PAULIS
+    defect = completeness_defect(ops)
+    if defect > DEFAULT_ATOL:
+        raise InvariantViolation(
+            f"Kraus set is not trace preserving: |sum A†A - I| = {defect:.3e}"
+        )
+    ops.flags.writeable = False
+    return ops
+
+
+def kraus_sum(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_k A_k rho A_k† without any validation (the definition the mask is checked against)."""
+    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def dephasing_mask(params: ChannelParams) -> np.ndarray:
@@ -188,26 +118,3 @@ def dephasing_mask(params: ChannelParams) -> np.ndarray:
         raise InvariantViolation(f"dephasing mask is not trace preserving: defect {defect:.3e}")
     mask.flags.writeable = False
     return mask
-
-
-def kraus_sum(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """sum_k A_k rho A_k† without any validation (the definition the mask is checked against)."""
-    ops = ks.operators
-    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
-
-
-def apply_channel(ks: KrausSet, rho) -> np.ndarray:
-    """Apply the channel to a density matrix and re-validate the output.
-
-    Raises ValueError on a dimension mismatch and InvariantViolation if the
-    Kraus set lost completeness or the output fails the density-matrix checks.
-    """
-    rho = as_complex_matrix(rho)
-    if rho.shape != (ks.dim, ks.dim):
-        raise ValueError(f"state shape {rho.shape} does not match channel dim {ks.dim}")
-    defect = completeness_defect(ks.operators)
-    if defect > DEFAULT_ATOL:
-        raise InvariantViolation(
-            f"Kraus set is not trace preserving: |sum A†A - I| = {defect:.3e}"
-        )
-    return check_density_matrix(kraus_sum(ks, rho))

@@ -44,6 +44,8 @@ def parse_angle(text: str) -> float:
     sign = -1.0 if m.group(1) == "-" else 1.0
     coef = float(m.group(2)) if m.group(2) else 1.0
     den = float(m.group(3)) if m.group(3) else 1.0
+    if den == 0.0:
+        raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}: division by zero")
     return sign * coef * math.pi / den
 
 
@@ -104,7 +106,7 @@ _PRESETS = {
 }
 
 
-def _add_game_flags(parser: argparse.ArgumentParser, with_strategies: bool = True):
+def _add_game_flags(parser: argparse.ArgumentParser):
     g = parser.add_argument_group("game parameters")
     g.add_argument("--gamma", type=parse_angle, default=math.pi / 2,
                    help="initial-state entanglement in [0, pi/2] (default: pi/2)")
@@ -121,11 +123,10 @@ def _add_game_flags(parser: argparse.ArgumentParser, with_strategies: bool = Tru
     g.add_argument("--table", default=None, metavar="FILE",
                    help="JSON payoff table mapping outcome labels to 3 numbers "
                         "(default: built-in table)")
-    if with_strategies:
-        g.add_argument("--strategy", action="append", type=parse_player_strategy,
-                       default=None, metavar="P:THETA,ALPHA,BETA",
-                       help="strategy for player A, B or C, repeatable "
-                            "(default: all cooperate, i.e. 0,0,0)")
+    g.add_argument("--strategy", action="append", type=parse_player_strategy,
+                   default=None, metavar="P:THETA,ALPHA,BETA",
+                   help="strategy for player A, B or C, repeatable "
+                        "(default: all cooperate, i.e. 0,0,0)")
 
 
 def _load_table(args) -> PayoffTable:
@@ -133,17 +134,13 @@ def _load_table(args) -> PayoffTable:
         return PayoffTable()
     try:
         return PayoffTable.from_json(args.table)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot load payoff table {args.table!r}: {exc}") from exc
 
 
 def _strategies_from(args, default=None):
-    strategies = {"A": StrategyParams(0, 0, 0), "B": StrategyParams(0, 0, 0),
-                  "C": StrategyParams(0, 0, 0)}
-    if default is not None:
-        strategies = dict(zip("ABC", default))
-    for key, strat in args.strategy or []:
-        strategies[key] = strat
+    strategies = dict(zip("ABC", default or (StrategyParams(0, 0, 0),) * 3))
+    strategies.update(args.strategy or [])
     return (strategies["A"], strategies["B"], strategies["C"])
 
 
@@ -348,6 +345,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"numerical invariant violation: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,11 @@ COOPERATE = StrategyParams(0.0, 0.0, 0.0)
 DEFECT = StrategyParams(math.pi, 0.0, 0.0)
 
 
+def _is_number(x) -> bool:
+    """An int or float within the finite float range (NaN is not); not a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class PayoffTable:
     """Payoff triples (Alice, Bob, Charlie) for the eight classical outcomes."""
@@ -107,10 +113,10 @@ class PayoffTable:
             raise ValueError(f"payoff table has unknown outcomes: {extra}")
         clean = {}
         for k in OUTCOMES:
-            v = tuple(float(x) for x in self.entries[k])
-            if len(v) != 3 or not all(np.isfinite(v)):
-                raise ValueError(f"payoff entry for {k} must be 3 finite numbers, got {self.entries[k]}")
-            clean[k] = v
+            v = self.entries[k]
+            if not (isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v))):
+                raise ValueError(f"payoff entry for {k} must be 3 finite numbers, got {v!r}")
+            clean[k] = tuple(float(x) for x in v)
         object.__setattr__(self, "entries", clean)
 
     def payoff(self, outcome: str) -> tuple[float, float, float]:
@@ -156,18 +162,6 @@ class GameConfig:
         if len(strategies) != 3 or not all(isinstance(s, StrategyParams) for s in strategies):
             raise ValueError("strategies must be a triple of StrategyParams")
         object.__setattr__(self, "strategies", strategies)
-
-    def with_strategies(self, strategies) -> "GameConfig":
-        return GameConfig(
-            self.gamma, self.delta, self.passage1, self.passage2,
-            tuple(strategies), self.payoffs,
-        )
-
-    def with_noise(self, params: ChannelParams) -> "GameConfig":
-        """Both passages set to the same parameters."""
-        return GameConfig(
-            self.gamma, self.delta, params, params, self.strategies, self.payoffs,
-        )
 
 
 def initial_state(gamma: float) -> np.ndarray:
@@ -262,12 +256,18 @@ class PreparedGame:
     """
 
     def __init__(self, cfg: GameConfig):
-        self.cfg = cfg
         self.rho1 = _channel_cached(cfg.passage1) * initial_state(cfg.gamma)
         self.mask2 = _channel_cached(cfg.passage2)
         self.projectors = _projectors_cached(float(cfg.delta))
         self.table = cfg.payoffs.as_array()
-        self.observables = np.einsum("mk,mxy->kxy", self.table, self.mask2 * self.projectors)
+        self._observables = None
+
+    @property
+    def observables(self) -> np.ndarray:
+        """(3, 8, 8) stack of the W_k, built on first use: the validated path needs none."""
+        if self._observables is None:
+            self._observables = np.einsum("mk,mxy->kxy", self.table, self.mask2 * self.projectors)
+        return self._observables
 
     def conjugated(self, strategies) -> np.ndarray:
         """rho2 = U rho1 U†, the once-dephased state after the players' moves."""
@@ -325,9 +325,8 @@ def pipeline_payoffs(cfg: GameConfig) -> tuple[float, float, float]:
     return (float(pay[0]), float(pay[1]), float(pay[2]))
 
 
-def classical_payoff(profile, table: PayoffTable | None = None) -> tuple[float, float, float]:
-    """Table lookup for a pure-move profile, e.g. ("C", "D", "C")."""
-    table = table if table is not None else PayoffTable()
+def classical_payoff(profile) -> tuple[float, float, float]:
+    """Default-table lookup for a pure-move profile, e.g. ("C", "D", "C")."""
     bits = []
     for move in profile:
         m = str(move).upper()
@@ -336,7 +335,7 @@ def classical_payoff(profile, table: PayoffTable | None = None) -> tuple[float, 
         bits.append("0" if m == "C" else "1")
     if len(bits) != 3:
         raise ValueError(f"profile must have exactly 3 moves, got {len(bits)}")
-    return table.payoff("".join(bits))
+    return PayoffTable().payoff("".join(bits))
 
 
 def mu_p_factor(params: ChannelParams) -> float:

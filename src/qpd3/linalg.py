@@ -34,24 +34,6 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def kron_all(*mats) -> np.ndarray:
-    """Left-associated Kronecker product of one or more matrices."""
-    if not mats:
-        raise ValueError("kron_all needs at least one matrix")
-    out = as_complex_matrix(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, as_complex_matrix(m))
-    return out
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries; requires a square matrix."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
 def max_abs(a) -> float:
     """Max-norm (largest entrywise modulus)."""
     return float(np.max(np.abs(np.asarray(a))))
@@ -71,7 +53,7 @@ def check_density_matrix(rho) -> np.ndarray:
         raise InvariantViolation(
             f"state is not Hermitian: defect {herm_defect:.3e} > {DEFAULT_ATOL:.1e}"
         )
-    tr = trace(rho)
+    tr = np.trace(rho)
     if abs(tr - 1.0) > DEFAULT_ATOL:
         raise InvariantViolation(
             f"state trace {tr} deviates from 1 by more than {DEFAULT_ATOL:.1e}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .channel import ChannelParams
-from .game import GameConfig, PayoffTable, StrategyParams
+from .game import GameConfig, StrategyParams
 
 HALF_PI = math.pi / 2
 
@@ -37,7 +37,7 @@ def surface_profile() -> tuple[StrategyParams, StrategyParams, StrategyParams]:
     )
 
 
-def sweep_config(p: float, mu: float, table: PayoffTable | None = None) -> GameConfig:
+def sweep_config(p: float, mu: float) -> GameConfig:
     params = ChannelParams(p=p, mu=mu)
     return GameConfig(
         gamma=HALF_PI,
@@ -45,11 +45,10 @@ def sweep_config(p: float, mu: float, table: PayoffTable | None = None) -> GameC
         passage1=params,
         passage2=params,
         strategies=sweep_profile(),
-        payoffs=table if table is not None else PayoffTable(),
     )
 
 
-def surface_config(p: float, mu: float, table: PayoffTable | None = None) -> GameConfig:
+def surface_config(p: float, mu: float) -> GameConfig:
     params = ChannelParams(p=p, mu=mu)
     return GameConfig(
         gamma=HALF_PI,
@@ -57,11 +56,10 @@ def surface_config(p: float, mu: float, table: PayoffTable | None = None) -> Gam
         passage1=params,
         passage2=params,
         strategies=surface_profile(),
-        payoffs=table if table is not None else PayoffTable(),
     )
 
 
-def classical_config(strategies, table: PayoffTable | None = None) -> GameConfig:
+def classical_config(strategies) -> GameConfig:
     """Unentangled, noiseless embedding of the classical game."""
     off = ChannelParams(p=0.0, mu=0.0)
     return GameConfig(
@@ -70,5 +68,4 @@ def classical_config(strategies, table: PayoffTable | None = None) -> GameConfig
         passage1=off,
         passage2=off,
         strategies=tuple(strategies),
-        payoffs=table if table is not None else PayoffTable(),
     )

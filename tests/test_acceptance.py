@@ -11,8 +11,11 @@ That failure is a finding, not a bug; see the check's docstring.
 
 import json
 
+import numpy as np
+import pytest
 
 from qpd3 import verify
+from qpd3.channel import ChannelParams
 
 
 def _run(result):
@@ -72,3 +75,29 @@ def test_channel_soundness_holds_for_other_seeds():
         res = verify.check_channel_soundness(seed=seed)
         print(res.line())
         assert res.passed
+
+
+#: Where a wrong mask is substituted: only off the 21x21 grid (so only the
+#: random states see it) or only at one grid point (so only the grid does).
+WRONG_AT = {
+    "off-grid": lambda params: params.p not in np.linspace(0.0, 1.0, 21),
+    "one-grid-point": lambda params: params == ChannelParams(0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("where", sorted(WRONG_AT))
+def test_channel_soundness_fails_on_a_wrong_mask(monkeypatch, where):
+    # one off-diagonal entry moved, the diagonal (trace preservation) kept at 1
+    original = verify.dephasing_mask
+
+    def mutated(params):
+        mask = original(params)
+        if WRONG_AT[where](params):
+            mask = mask.copy()
+            mask[0, 7] += 1e-3
+        return mask
+
+    monkeypatch.setattr(verify, "dephasing_mask", mutated)
+    res = verify.check_channel_soundness(seed=0)
+    print(res.line())
+    assert not res.passed

@@ -1,5 +1,6 @@
 """Tests for sweeps, surfaces, best responses and equilibrium checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -176,7 +177,7 @@ def test_classical_dominance_of_defection():
                        (DEFECT, COOPERATE), (DEFECT, DEFECT)):
             profile = list(others)
             profile.insert(player, COOPERATE)
-            base = cfg.with_strategies(tuple(profile))
+            base = dataclasses.replace(cfg, strategies=tuple(profile))
             res = best_response(base, player, COOPERATE, resolution=3)
             assert res.best.theta == pytest.approx(math.pi)
             assert res.gain_over_claimed > 1.0 - 1e-12

@@ -98,6 +98,10 @@ def test_invalid_value_is_an_error(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "payoff", "--strategy", "Z:0,0,0")
     assert code == 2
+    code, _, err = run_cli(capsys, "payoff", "--gamma", "pi/0")
+    assert code == 2 and "division by zero" in err
+    code, _, err = run_cli(capsys, "payoff", "--strategy", "A:pi/0,0,0")
+    assert code == 2 and "division by zero" in err
 
 
 @pytest.mark.parametrize("bad", ["passage1", "passage2"])
@@ -232,6 +236,22 @@ def test_corrupted_table_file(capsys, tmp_path):
     assert code == 2
     assert "missing" in err
 
+    # each entry must be a three-element array of numbers
+    good = [1, 2, 3]
+    for bad in (5, None, [1, None, 3], "123", [True, 2, 3], [1, 2], [1, 2, 3, 4], [10**400, 2, 3]):
+        table = {f"{l}{m}{n}": good for l in (0, 1) for m in (0, 1) for n in (0, 1)}
+        table["101"] = bad
+        path2.write_text(json.dumps(table))
+        code, out, err = run_cli(capsys, "payoff", "--table", str(path2))
+        assert code == 2, bad
+        assert out == ""
+        assert err.startswith("error: cannot load payoff table") and "101" in err
+
+    path2.write_text("[" * 100000 + "]" * 100000)  # deeper than the JSON decoder recurses
+    code, _, err = run_cli(capsys, "payoff", "--table", str(path2))
+    assert code == 2
+    assert err.startswith("error: cannot load payoff table")
+
 
 def test_verify_reports_every_check(capsys, tmp_path):
     report = tmp_path / "disc.json"
@@ -274,6 +294,17 @@ def test_oversized_grids_are_refused(capsys, argv):
     assert code == 2
     assert out == ""
     assert "1000000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--var", "p", "--grid", "0:1:2", "--out", "{tmp}/missing/x.csv"],
+    ["verify", "--report", "{tmp}"],
+])
+def test_unwritable_output_is_an_error(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 @pytest.mark.parametrize("cmd", ["payoff", "sweep", "surface", "best-response",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+from qpd3 import game
 from qpd3.channel import ChannelParams
 from qpd3.game import (
     COOPERATE,
@@ -185,6 +186,15 @@ def test_outcome_probabilities_normalized_and_bounded():
     probs = outcome_probabilities(cfg)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(probs >= -1e-12)
+
+
+def test_validated_path_builds_no_observables(monkeypatch):
+    def unused(self):
+        raise AssertionError("the validated path read the payoff observables")
+
+    monkeypatch.setattr(game.PreparedGame, "observables", property(unused))
+    cfg = make_config(p1=0.4, mu1=0.7, p2=0.2, strategies=(COOPERATE, DEFECT, COOPERATE))
+    assert outcome_probabilities(cfg).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,7 @@
-"""Unit and property tests for the small linear-algebra helpers."""
+"""Unit tests for the small linear-algebra helpers."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qpd3.linalg import (
     ID2,
@@ -10,24 +9,6 @@ from qpd3.linalg import (
     InvariantViolation,
     as_complex_matrix,
     check_density_matrix,
-    kron_all,
-    max_abs,
-    trace,
-)
-
-finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
-
-
-def random_matrix(draw, n):
-    re = draw(st.lists(finite, min_size=n * n, max_size=n * n))
-    im = draw(st.lists(finite, min_size=n * n, max_size=n * n))
-    return (np.array(re) + 1j * np.array(im)).reshape(n, n)
-
-
-matrices_2x2 = st.builds(
-    lambda re, im: (np.array(re) + 1j * np.array(im)).reshape(2, 2),
-    st.lists(finite, min_size=4, max_size=4),
-    st.lists(finite, min_size=4, max_size=4),
 )
 
 
@@ -41,45 +22,23 @@ def test_matmul_identity_and_pauli():
     )
 
 
-def test_kron_cases():
-    np.testing.assert_allclose(kron_all(ID2, ID2), np.eye(4), atol=1e-15)
-    np.testing.assert_allclose(kron_all(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]), atol=1e-15)
-    np.testing.assert_allclose(
-        kron_all(SIGMA_Z, ID2, SIGMA_Z),
-        np.diag([1, -1, 1, -1, -1, 1, -1, 1]),
-        atol=1e-15,
-    )
-
-
 def test_trace_cases():
-    assert trace(np.eye(8)) == pytest.approx(8)
-    assert trace(SIGMA_Z) == pytest.approx(0)
+    # check_density_matrix requires a square matrix of unit trace
     proj = np.zeros((8, 8), dtype=complex)
     proj[0, 0] = 1.0
-    assert trace(proj) == pytest.approx(1)
+    np.testing.assert_allclose(check_density_matrix(proj), proj)
+    for bad in (np.eye(8), 0.5 * proj, np.zeros((8, 8))):
+        with pytest.raises(InvariantViolation, match="trace"):
+            check_density_matrix(bad)
     with pytest.raises(ValueError):
-        trace(np.ones((2, 3)))
+        check_density_matrix(np.ones((2, 3)) / 2)
 
 
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
         as_complex_matrix(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError):
-        trace(np.array([[np.inf, 0], [0, 1]]))
-
-
-@given(matrices_2x2, matrices_2x2)
-@settings(max_examples=50)
-def test_trace_cyclic(a, b):
-    assert abs(trace(a @ b) - trace(b @ a)) <= 1e-12 * (1 + max_abs(a) * max_abs(b))
-
-
-@given(matrices_2x2, matrices_2x2, matrices_2x2)
-@settings(max_examples=30)
-def test_kron_associative(a, b, c):
-    np.testing.assert_allclose(
-        kron_all(kron_all(a, b), c), kron_all(a, kron_all(b, c)), atol=1e-9
-    )
+        check_density_matrix(np.array([[np.inf, 0], [0, 1]]))
 
 
 def test_check_density_matrix_rejects_negative_minor():
