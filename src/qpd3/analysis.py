@@ -2,8 +2,10 @@
 
 All searches are exhaustive over explicit grids: the payoff landscape is
 smooth but cheap to evaluate at 8x8, so certifiable enumeration beats clever
-optimisation here.  Every function is deterministic; results are assembled in
-grid order regardless of how the evaluations might be scheduled.
+optimisation here.  Every function is deterministic and is called directly
+with its grids: :func:`sweep` returns one row per grid point,
+:func:`strategy_surface` one payoff array over both grids.  Ties within
+``TIE_TOL`` of a grid maximum are broken by one rule, :func:`first_max`.
 """
 
 from __future__ import annotations
@@ -46,36 +48,7 @@ def player_index(player) -> int:
     return PLAYER_NAMES.index(name)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A one-variable sweep ('p' or 'mu') or an (alpha1, theta1) surface scan.
-
-    For 'p'/'mu' sweeps ``grid`` is a strictly increasing sequence in [0, 1]
-    substituted into both channel passages.  For the surface, ``grid`` is a
-    pair (alpha1_grid, theta1_grid) with alpha1 in [-pi, pi] and theta1 in
-    [0, pi].
-    """
-
-    variable: str
-    grid: tuple
-    base: GameConfig
-
-    def __post_init__(self):
-        if self.variable not in ("p", "mu", "alpha1_theta1_surface"):
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if self.variable == "alpha1_theta1_surface":
-            if len(self.grid) != 2:
-                raise ValueError("surface scans need a pair of grids (alpha1, theta1)")
-            alphas = _checked_grid(tuple(self.grid[0]), "alpha1", -math.pi, math.pi)
-            thetas = _checked_grid(tuple(self.grid[1]), "theta1", 0.0, math.pi)
-            object.__setattr__(self, "grid", (alphas, thetas))
-        else:
-            object.__setattr__(
-                self, "grid", _checked_grid(tuple(self.grid), self.variable, 0.0, 1.0)
-            )
-
-
-def _checked_grid(grid: tuple, name: str, lo: float, hi: float) -> tuple:
+def _checked_grid(grid, name: str, lo: float, hi: float) -> tuple:
     if len(grid) == 0:
         raise ValueError(f"{name} grid must be nonempty")
     vals = tuple(float(x) for x in grid)
@@ -94,64 +67,56 @@ def grid_points(start: float, stop: float, count: int) -> tuple:
     check_grid_size(count, "the grid")
     if count == 1:
         return (float(start),)
+    if not math.isfinite(float(stop) - float(start)):
+        raise ValueError(f"grid from {start} to {stop} does not have a finite width")
     return tuple(np.linspace(start, stop, count))
 
 
-def sweep(spec: SweepSpec) -> list[tuple[float, float, float, float]]:
-    """Rows (x, payoff_A, payoff_B, payoff_C), one per grid point.
+def sweep(base: GameConfig, variable: str, grid) -> list[tuple[float, float, float, float]]:
+    """Rows (x, payoff_A, payoff_B, payoff_C), one per point of ``grid``.
 
-    The swept variable is substituted into both passages (p1 = p2 or
-    mu1 = mu2); the non-swept channel parameter is taken from
-    ``spec.base.passage1`` and all other settings from ``spec.base``.
+    ``variable`` is 'p' or 'mu' and ``grid`` a strictly increasing sequence
+    in [0, 1], substituted into both passages (p1 = p2 or mu1 = mu2); the
+    non-swept channel parameter is taken from ``base.passage1`` and all
+    other settings from ``base``.
     """
-    if spec.variable not in ("p", "mu"):
-        raise ValueError("sweep handles 'p' and 'mu'; use strategy_surface for surfaces")
-    base = spec.base
+    if variable not in ("p", "mu"):
+        raise ValueError(f"unknown sweep variable {variable!r}")
     rows = []
-    for x in spec.grid:
-        p, mu = (x, base.passage1.mu) if spec.variable == "p" else (base.passage1.p, x)
+    for x in _checked_grid(grid, variable, 0.0, 1.0):
+        p, mu = (x, base.passage1.mu) if variable == "p" else (base.passage1.p, x)
         params = ChannelParams(p=p, mu=mu)
         cfg = GameConfig(base.gamma, base.delta, params, params, base.strategies, base.payoffs)
         pay = PreparedGame(cfg).payoffs(cfg.strategies)
-        rows.append((float(x), pay[0], pay[1], pay[2]))
+        rows.append((x, pay[0], pay[1], pay[2]))
     return rows
 
 
-def strategy_surface(spec: SweepSpec) -> list[tuple[float, float, float]]:
-    """Alice's payoff over an (alpha1, theta1) grid, rows in row-major order."""
-    if spec.variable != "alpha1_theta1_surface":
-        raise ValueError("strategy_surface needs an alpha1_theta1_surface spec")
-    alphas, thetas = spec.grid
-    check_grid_size(len(alphas) * len(thetas), "the surface")
-    prepared = PreparedGame(spec.base)
-    form = prepared.deviation_form(spec.base.strategies, 0, 0)
-    a, t = np.meshgrid(alphas, thetas, indexing="ij")
-    u = strategy_unitary(t, a, spec.base.strategies[0].beta).reshape(-1, 4)
-    values = np.einsum("nx,xy,ny->n", u.conj(), form, u).real
-    return [(float(x), float(y), float(v)) for x, y, v in zip(a.ravel(), t.ravel(), values)]
+def strategy_surface(base: GameConfig, alphas, thetas) -> np.ndarray:
+    """Alice's payoff over an (alpha1, theta1) grid, beta1 kept from ``base``.
 
-
-def surface_argmax(rows) -> tuple[float, float, float]:
-    """(alpha1, theta1, value) of the maximising grid point.
-
-    Exact ridges of tied maxima occur on these surfaces, so ties within
-    ``TIE_TOL`` are broken deterministically: smallest theta1, then smallest
-    alpha1.
+    ``alphas`` lie in [-pi, pi] and ``thetas`` in [0, pi], each strictly
+    increasing.  Entry [i, j] of the returned (len(alphas), len(thetas))
+    array is the payoff at (alphas[i], thetas[j]).
     """
-    best_val = max(r[2] for r in rows)
-    tied = [r for r in rows if r[2] >= best_val - TIE_TOL]
-    tied.sort(key=lambda r: (r[1], r[0]))
-    a, t, _ = tied[0]
-    return (a, t, best_val)
+    check_grid_size(len(alphas) * len(thetas), "the surface")
+    alphas = _checked_grid(alphas, "alpha1", -math.pi, math.pi)
+    thetas = _checked_grid(thetas, "theta1", 0.0, math.pi)
+    form = PreparedGame(base).deviation_form(base.strategies, 0, 0)
+    a, t = np.meshgrid(alphas, thetas, indexing="ij")
+    u = strategy_unitary(t, a, base.strategies[0].beta).reshape(-1, 4)
+    return np.einsum("nx,xy,ny->n", u.conj(), form, u).real.reshape(a.shape)
 
 
-def is_surface_maximizer(rows, alpha1: float, theta1: float) -> bool:
-    """True iff the given on-grid point attains the grid maximum within ``TIE_TOL``."""
-    best_val = max(r[2] for r in rows)
-    for a, t, v in rows:
-        if abs(a - alpha1) <= 1e-12 and abs(t - theta1) <= 1e-12:
-            return v >= best_val - TIE_TOL
-    raise ValueError(f"({alpha1}, {theta1}) is not a grid point of this surface")
+def first_max(values: np.ndarray) -> tuple[int, float]:
+    """(index, best): the maximum of ``values`` and the flat index of its first tie.
+
+    Exact ridges of tied maxima occur on these payoff grids, so every entry
+    within TIE_TOL of the maximum counts as tied and the first in C order
+    wins: order the axes of ``values`` by tie-break priority.
+    """
+    best = values.max()
+    return int(np.flatnonzero(values >= best - TIE_TOL)[0]), float(best)
 
 
 @dataclass(frozen=True)
@@ -197,8 +162,8 @@ def best_response(
         for j, a in enumerate(alphas):
             for k, b in enumerate(betas):
                 values[i, j, k] = payoff_with(StrategyParams(t, a, b))
-    best_val = values.max()
-    i, j, k = np.unravel_index(np.flatnonzero(values >= best_val - TIE_TOL)[0], values.shape)
+    flat, best_val = first_max(values)
+    i, j, k = np.unravel_index(flat, values.shape)
     best = StrategyParams(thetas[i], alphas[j], betas[k])
 
     at_claimed = payoff_with(claimed)
@@ -206,9 +171,9 @@ def best_response(
         player=PLAYER_NAMES[idx],
         grid_resolution=resolution,
         best=best,
-        best_payoff=float(best_val),
-        payoff_at_claimed=float(at_claimed),
-        gain_over_claimed=float(best_val - at_claimed),
+        best_payoff=best_val,
+        payoff_at_claimed=at_claimed,
+        gain_over_claimed=best_val - at_claimed,
     )
 
 

@@ -203,9 +203,7 @@ def cmd_sweep(args) -> int:
             args.mu = fixed_mu
     if args.var is None:
         raise ValueError("--var is required (p or mu) unless a sweep preset is given")
-    cfg = _config_from(args, default_strategies)
-    spec = analysis.SweepSpec(args.var, args.grid, cfg)
-    rows = analysis.sweep(spec)
+    rows = analysis.sweep(_config_from(args, default_strategies), args.var, args.grid)
     _write_csv(args.out, "x,payoff_A,payoff_B,payoff_C", rows)
     return 0
 
@@ -219,11 +217,11 @@ def cmd_surface(args) -> int:
         if args.mu is None:
             args.mu = mu
     cfg = _config_from(args, default_strategies)
-    analysis.check_grid_size(args.res**2, "the surface")
+    analysis.check_grid_size(args.res**2, "the surface")  # before the grids are built
     alphas = analysis.grid_points(-math.pi, math.pi, args.res)
     thetas = analysis.grid_points(0.0, math.pi, args.res)
-    spec = analysis.SweepSpec("alpha1_theta1_surface", (alphas, thetas), cfg)
-    rows = analysis.strategy_surface(spec)
+    values = analysis.strategy_surface(cfg, alphas, thetas)
+    rows = ((a, t, values[i, j]) for i, a in enumerate(alphas) for j, t in enumerate(thetas))
     _write_csv(args.out, "alpha1,theta1,payoff_A", rows)
     return 0
 

@@ -204,7 +204,16 @@ def _kron3(u: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _projectors_cached(delta: float) -> np.ndarray:
+def measurement_projectors(delta: float) -> np.ndarray:
+    """(8, 8, 8) stack of the rank-1 projectors onto the entangled measurement basis.
+
+    Ordered 000..111; each |chi_lmn> pairs |lmn> with its bitwise complement
+    at relative phase +i (the ``uniform-plus-i`` convention).  Completeness
+    and orthonormality are checked at construction.  The returned array is
+    read-only and shared between calls.
+    """
+    if not (np.isfinite(delta) and 0.0 <= delta <= math.pi / 2):
+        raise ValueError(f"delta must be in [0, pi/2], got {delta}")
     c = math.cos(delta / 2)
     s = math.sin(delta / 2)
     # Row m is |chi_m>: c on |m> and i s on its complement |7 - m>.
@@ -218,19 +227,6 @@ def _projectors_cached(delta: float) -> np.ndarray:
         raise InvariantViolation("measurement states are not orthonormal")
     projectors.flags.writeable = False
     return projectors
-
-
-def measurement_projectors(delta: float) -> tuple[np.ndarray, ...]:
-    """Eight rank-1 projectors onto the entangled measurement basis.
-
-    Ordered 000..111; each |chi_lmn> pairs |lmn> with its bitwise complement
-    at relative phase +i (the ``uniform-plus-i`` convention).  Completeness
-    and orthonormality are checked at construction.  The returned arrays are
-    read-only and shared between calls.
-    """
-    if not (np.isfinite(delta) and 0.0 <= delta <= math.pi / 2):
-        raise ValueError(f"delta must be in [0, pi/2], got {delta}")
-    return tuple(_projectors_cached(float(delta)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -258,7 +254,7 @@ class PreparedGame:
     def __init__(self, cfg: GameConfig):
         self.rho1 = _channel_cached(cfg.passage1) * initial_state(cfg.gamma)
         self.mask2 = _channel_cached(cfg.passage2)
-        self.projectors = _projectors_cached(float(cfg.delta))
+        self.projectors = measurement_projectors(cfg.delta)
         self.table = cfg.payoffs.as_array()
         self._observables = None
 

@@ -165,8 +165,7 @@ def check_p_sweep_qualitative() -> CheckResult:
     grid = analysis.grid_points(0.0, 1.0, 21)
     curves = {}
     for mu in (0.0, 1.0):
-        spec = analysis.SweepSpec("p", grid, presets.sweep_config(0.0, mu))
-        curves[mu] = analysis.sweep(spec)
+        curves[mu] = analysis.sweep(presets.sweep_config(0.0, mu), "p", grid)
     ab_gap = max(abs(r[1] - r[2]) for rows in curves.values() for r in rows)
     c_minus_a = min(r[3] - r[1] for rows in curves.values() for r in rows)
     memory_gain = min(r1[3] - r0[3] for r0, r1 in zip(curves[0.0], curves[1.0]))
@@ -193,8 +192,7 @@ def check_mu_sweep_monotonicity() -> CheckResult:
     grid = analysis.grid_points(0.0, 1.0, 21)
     worst = math.inf
     for p in (0.3, 0.7):
-        spec = analysis.SweepSpec("mu", grid, presets.sweep_config(p, 0.0))
-        rows = analysis.sweep(spec)
+        rows = analysis.sweep(presets.sweep_config(p, 0.0), "mu", grid)
         for col in (1, 2, 3):
             vals = [r[col] for r in rows]
             worst = min(worst, min(b - a for a, b in zip(vals, vals[1:])))
@@ -215,19 +213,19 @@ def check_surface_argmax_invariance() -> CheckResult:
     """
     alphas = analysis.grid_points(-math.pi, math.pi, 41)
     thetas = analysis.grid_points(0.0, math.pi, 41)
+    claimed = tuple(int(np.abs(np.subtract(axis, HALF_PI)).argmin()) for axis in (alphas, thetas))
     levels = (0.0, 0.3, 0.7, 1.0)
     failures = []
     argmaxes = set()
     for p in levels:
         for mu in levels:
-            spec = analysis.SweepSpec(
-                "alpha1_theta1_surface", (alphas, thetas), presets.surface_config(p, mu)
-            )
-            rows = analysis.strategy_surface(spec)
-            if not analysis.is_surface_maximizer(rows, HALF_PI, HALF_PI):
+            values = analysis.strategy_surface(presets.surface_config(p, mu), alphas, thetas)
+            # Transposed, so ties go to the smallest theta1, then the smallest alpha1.
+            flat, best = analysis.first_max(values.T)
+            if best - values[claimed] > analysis.TIE_TOL:
                 failures.append((p, mu))
-            a, t, _ = analysis.surface_argmax(rows)
-            argmaxes.add((round(a, 12), round(t, 12)))
+            j, i = np.unravel_index(flat, values.T.shape)
+            argmaxes.add((round(float(alphas[i]), 12), round(float(thetas[j]), 12)))
     passed = not failures
     measured = f"claimed point maximal at {16 - len(failures)}/16 (p,mu) combos"
     details = (
@@ -312,7 +310,10 @@ def check_projector_soundness() -> CheckResult:
 
 
 def run_all(seed: int = 0, report_path: Path | None = None) -> list[CheckResult]:
-    """Run every acceptance check in order."""
+    """Run every acceptance check in order; an unwritable ``report_path`` fails before any."""
+    if report_path is not None:
+        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
+        open(report_path, "a", encoding="utf-8").close()
     return [
         check_classical_limit(),
         check_entangled_anchors(),

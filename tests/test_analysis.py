@@ -8,17 +8,15 @@ import pytest
 
 from qpd3 import presets
 from qpd3.analysis import (
-    SweepSpec,
     best_response,
+    first_max,
     grid_points,
-    is_surface_maximizer,
     nash_check,
     player_index,
     strategy_surface,
-    surface_argmax,
     sweep,
 )
-from qpd3.game import COOPERATE, DEFECT, StrategyParams
+from qpd3.game import COOPERATE, DEFECT, PreparedGame, StrategyParams
 
 HPI = math.pi / 2
 
@@ -33,18 +31,22 @@ def test_player_index():
         player_index(3)
 
 
-def test_sweep_spec_validation():
+def test_sweep_and_surface_argument_checks():
     base = presets.sweep_config(0.0, 0.0)
-    with pytest.raises(ValueError):
-        SweepSpec("p", (), base)
-    with pytest.raises(ValueError):
-        SweepSpec("p", (0.5, 0.2), base)
-    with pytest.raises(ValueError):
-        SweepSpec("p", (0.0, 1.2), base)
-    with pytest.raises(ValueError):
-        SweepSpec("q", (0.0, 1.0), base)
-    with pytest.raises(ValueError):
-        SweepSpec("alpha1_theta1_surface", ((0.0,),), base)
+    with pytest.raises(ValueError, match="nonempty"):
+        sweep(base, "p", ())
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sweep(base, "p", (0.5, 0.2))
+    with pytest.raises(ValueError, match="outside"):
+        sweep(base, "p", (0.0, 1.2))
+    with pytest.raises(ValueError, match="unknown sweep variable"):
+        sweep(base, "q", (0.0, 1.0))
+    with pytest.raises(ValueError, match="theta1 grid must be nonempty"):
+        strategy_surface(base, (0.0,), ())
+    with pytest.raises(ValueError, match="alpha1 grid value"):
+        strategy_surface(base, (0.0, 4.0), (0.0,))
+    with pytest.raises(ValueError, match="over the limit"):
+        strategy_surface(base, grid_points(-math.pi, math.pi, 1001), grid_points(0, math.pi, 1000))
 
 
 def test_grid_points_contract():
@@ -52,18 +54,20 @@ def test_grid_points_contract():
     assert len(grid_points(0, 1, 21)) == 21
     with pytest.raises(ValueError):
         grid_points(0, 1, 0)
+    for start, stop in ((0.0, math.inf), (math.nan, 1.0), (1e308, -1e308)):
+        with pytest.raises(ValueError, match="finite width"):
+            grid_points(start, stop, 3)
 
 
 def test_sweep_grid_contract():
-    spec = SweepSpec("p", grid_points(0, 1, 2), presets.sweep_config(0.0, 0.0))
-    rows = sweep(spec)
+    rows = sweep(presets.sweep_config(0.0, 0.0), "p", grid_points(0, 1, 2))
     assert [r[0] for r in rows] == [0.0, 1.0]
 
 
 def test_sweep_quantum_player_dominates():
     grid = grid_points(0, 1, 21)
     for mu in (0.0, 1.0):
-        rows = sweep(SweepSpec("p", grid, presets.sweep_config(0.0, mu)))
+        rows = sweep(presets.sweep_config(0.0, mu), "p", grid)
         assert len(rows) == 21
         for _, a, b, c in rows:
             assert a == pytest.approx(b, abs=1e-12)
@@ -72,65 +76,61 @@ def test_sweep_quantum_player_dominates():
 
 def test_sweep_noiseless_point_is_memory_independent():
     grid = grid_points(0, 1, 5)
-    rows0 = sweep(SweepSpec("p", grid, presets.sweep_config(0.0, 0.0)))
-    rows1 = sweep(SweepSpec("p", grid, presets.sweep_config(0.0, 1.0)))
+    rows0 = sweep(presets.sweep_config(0.0, 0.0), "p", grid)
+    rows1 = sweep(presets.sweep_config(0.0, 1.0), "p", grid)
     assert rows0[0][1:] == pytest.approx(rows1[0][1:], abs=1e-12)
 
 
 def test_sweep_memory_monotonicity():
     grid = grid_points(0, 1, 21)
     for p in (0.3, 0.7):
-        rows = sweep(SweepSpec("mu", grid, presets.sweep_config(p, 0.0)))
+        rows = sweep(presets.sweep_config(p, 0.0), "mu", grid)
         for col in (1, 2, 3):
             vals = [r[col] for r in rows]
             assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_sweep_determinism():
-    spec = SweepSpec("p", grid_points(0, 1, 7), presets.sweep_config(0.0, 0.5))
-    assert sweep(spec) == sweep(spec)
+    args = (presets.sweep_config(0.0, 0.5), "p", grid_points(0, 1, 7))
+    assert sweep(*args) == sweep(*args)
 
 
 def test_surface_grid_contract_and_order():
-    alphas = grid_points(-math.pi, math.pi, 2)
-    thetas = grid_points(0, math.pi, 2)
-    spec = SweepSpec("alpha1_theta1_surface", (alphas, thetas), presets.surface_config(0.3, 0.3))
-    rows = strategy_surface(spec)
-    assert len(rows) == 4
-    # row-major: alpha outer, theta inner
-    assert [(r[0], r[1]) for r in rows] == [
-        (-math.pi, 0.0), (-math.pi, math.pi), (math.pi, 0.0), (math.pi, math.pi)
-    ]
+    alphas, thetas = (-1.0, 0.5), (0.2, 1.0, 2.5)
+    cfg = presets.surface_config(0.3, 0.3)
+    values = strategy_surface(cfg, alphas, thetas)
+    assert values.shape == (2, 3)
+    # entry [i, j] is Alice's payoff at (alphas[i], thetas[j])
+    prepared = PreparedGame(cfg)
+    for i, a in enumerate(alphas):
+        for j, t in enumerate(thetas):
+            alice = StrategyParams(t, a, cfg.strategies[0].beta)
+            want = prepared.payoffs((alice,) + cfg.strategies[1:])[0]
+            assert values[i, j] == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("p,mu", [(0.3, 0.3), (0.7, 0.7)])
 def test_surface_claimed_point_is_maximal(p, mu):
     alphas = grid_points(-math.pi, math.pi, 41)
     thetas = grid_points(0, math.pi, 41)
-    spec = SweepSpec("alpha1_theta1_surface", (alphas, thetas), presets.surface_config(p, mu))
-    rows = strategy_surface(spec)
-    assert is_surface_maximizer(rows, HPI, HPI)
+    values = strategy_surface(presets.surface_config(p, mu), alphas, thetas)
+    i, j = 30, 20  # the grid points at alpha1 = theta1 = pi/2
+    assert alphas[i] == pytest.approx(HPI, abs=1e-12) and thetas[j] == pytest.approx(HPI, abs=1e-12)
+    assert values[i, j] >= values.max() - 1e-12
 
 
 def test_surface_argmax_tiebreak_deterministic():
     alphas = grid_points(-math.pi, math.pi, 9)
     thetas = grid_points(0, math.pi, 9)
-    spec = SweepSpec("alpha1_theta1_surface", (alphas, thetas), presets.surface_config(0.3, 0.3))
-    rows = strategy_surface(spec)
-    a, t, v = surface_argmax(rows)
-    assert v == pytest.approx(max(r[2] for r in rows))
+    values = strategy_surface(presets.surface_config(0.3, 0.3), alphas, thetas)
+    flat, v = first_max(values.T)
+    assert v == values.max()
+    j, i = np.unravel_index(flat, values.T.shape)
     # smallest theta, then smallest alpha, among the tied maxima
-    tied = [r for r in rows if r[2] >= v - 1e-12]
-    assert (t, a) == min((r[1], r[0]) for r in tied)
-
-
-def test_is_surface_maximizer_rejects_off_grid_points():
-    alphas = grid_points(-math.pi, math.pi, 3)
-    thetas = grid_points(0, math.pi, 3)
-    spec = SweepSpec("alpha1_theta1_surface", (alphas, thetas), presets.surface_config(0.0, 0.0))
-    rows = strategy_surface(spec)
-    with pytest.raises(ValueError):
-        is_surface_maximizer(rows, 0.123, 0.456)
+    tied = [(t, a) for (ia, a) in enumerate(alphas) for (it, t) in enumerate(thetas)
+            if values[ia, it] >= v - 1e-12]
+    assert len(tied) > 1
+    assert (thetas[j], alphas[i]) == min(tied)
 
 
 def test_best_response_noiseless_claim_is_grid_optimal():
@@ -185,7 +185,7 @@ def test_classical_dominance_of_defection():
 
 def test_sweep_payoffs_non_increasing_in_p_without_memory():
     grid = grid_points(0, 1, 21)
-    rows = sweep(SweepSpec("p", grid, presets.sweep_config(0.0, 0.0)))
+    rows = sweep(presets.sweep_config(0.0, 0.0), "p", grid)
     for col in (1, 2, 3):
         vals = [r[col] for r in rows]
         assert all(b - a <= 1e-12 for a, b in zip(vals, vals[1:]))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qpd3 import cli, game
+from qpd3 import cli, game, verify
 from qpd3.channel import ChannelParams
 from qpd3.cli import main, parse_angle
 
@@ -102,6 +102,10 @@ def test_invalid_value_is_an_error(capsys):
     assert code == 2 and "division by zero" in err
     code, _, err = run_cli(capsys, "payoff", "--strategy", "A:pi/0,0,0")
     assert code == 2 and "division by zero" in err
+    for grid in ("0:inf:3", "0:inf:2", "1e308:-1e308:3"):
+        code, out, err = run_cli(capsys, "sweep", "--var", "p", "--grid", grid)
+        assert code == 2 and out == ""
+        assert f"bad grid {grid!r}" in err and "does not have a finite width" in err
 
 
 @pytest.mark.parametrize("bad", ["passage1", "passage2"])
@@ -300,10 +304,13 @@ def test_oversized_grids_are_refused(capsys, argv):
     ["sweep", "--var", "p", "--grid", "0:1:2", "--out", "{tmp}/missing/x.csv"],
     ["verify", "--report", "{tmp}"],
 ])
-def test_unwritable_output_is_an_error(capsys, tmp_path, argv):
+def test_unwritable_output_is_an_error(capsys, tmp_path, monkeypatch, argv):
+    # refused before any work: verify runs none of its checks
+    calls = []
+    monkeypatch.setattr(verify, "check_classical_limit", lambda: calls.append(1))
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
-    assert out == ""
+    assert out == "" and calls == []
     assert err.startswith("error: ") and str(tmp_path) in err
 
 

@@ -1,0 +1,53 @@
+"""Golden outputs: the CSV tables of the figure presets and two generic
+configurations, pinned as sha256 digests of their exact bytes.
+
+Any change to the evaluation, the grids or the CSV formatting that moves a
+printed digit fails here.  A deliberate change of output must update these
+digests and say so.
+"""
+
+import hashlib
+
+import pytest
+
+from qpd3 import verify
+from qpd3.cli import main
+
+STRATEGIES = ["--strategy", "A:1.1,0.4,-0.7", "--strategy", "B:2.0,-1.2,0.3",
+              "--strategy", "C:0.5,2.5,1.0"]
+
+# fig2 and fig3 print the same table: under the canned sweep profile every
+# payoff is constant in p and mu (see verify.check_p_sweep_qualitative).
+GOLDEN = [
+    (["sweep", "--preset", "fig2"],
+     "6f6f8480410aff79b2ceb1910323c84ed648bf43aa74cd64f830c49008e2d762"),
+    (["sweep", "--preset", "fig3"],
+     "6f6f8480410aff79b2ceb1910323c84ed648bf43aa74cd64f830c49008e2d762"),
+    (["sweep", "--var", "mu", "--gamma", "1.1", "--delta", "0.7", "--p", "0.4",
+      "--grid", "0:1:11"] + STRATEGIES,
+     "f7b9e81d770319f7380d3459ffb122421e5f06b8777cdab5ce544720f588709b"),
+    (["surface", "--preset", "fig4"],
+     "078c3b1fab7910c029b3979b97d1d8d28aea30f4f887b441f5a8bb2934919641"),
+    (["surface", "--preset", "fig5"],
+     "61c1e4608edce5b2da5c23014bd75c76f0d5c3ab4d2c361ca2d11bc8bbd19f7b"),
+    (["surface", "--res", "61", "--p", "0.2", "--mu", "0.5", "--p2", "0.6", "--mu2", "0.9",
+      "--gamma", "1.2", "--delta", "0.9"] + STRATEGIES,
+     "109b3458e631633f4e1edaa7a05ca5cc1fe1594ed2ffd5aa635cc7faa4c6467d"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN, ids=["fig2", "fig3", "mu-sweep", "fig4", "fig5", "surface-res61"]
+)
+def test_csv_output_is_byte_identical(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_surface_argmax_invariance_line():
+    assert verify.check_surface_argmax_invariance().line() == (
+        "PASS  surface_argmax_invariance: measured claimed point maximal at 16/16 (p,mu) "
+        "combos (tolerance max within 1e-12) — tie-broken argmax location(s): "
+        "[(-3.14159265359, 0.0), (-1.570796326795, 0.0)]"
+    )

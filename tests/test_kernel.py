@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracle
-from qpd3.analysis import SweepSpec, grid_points, strategy_surface
+from qpd3.analysis import grid_points, strategy_surface
 from qpd3.channel import ChannelParams, correlated_triple, dephasing_mask, kraus_sum
 from qpd3.game import GameConfig, PreparedGame, StrategyParams, strategy_unitary
 
@@ -93,10 +93,11 @@ def test_surface_rows_match_oracle(seed):
     cfg = random_config(seed)
     alphas = grid_points(-math.pi, math.pi, 3)
     thetas = grid_points(0.0, math.pi, 4)
-    rows = strategy_surface(SweepSpec("alpha1_theta1_surface", (alphas, thetas), cfg))
+    values = strategy_surface(cfg, alphas, thetas)
     beta1 = cfg.strategies[0].beta
-    assert [(a, t) for a, t, _ in rows] == [(a, t) for a in alphas for t in thetas]
-    for a, t, value in rows:
-        alice = StrategyParams(t, a, beta1)
-        want = oracle_payoffs(cfg, (alice,) + cfg.strategies[1:])
-        assert value == pytest.approx(want[0], abs=1e-12)
+    assert values.shape == (len(alphas), len(thetas))
+    for i, a in enumerate(alphas):
+        for j, t in enumerate(thetas):
+            alice = StrategyParams(t, a, beta1)
+            want = oracle_payoffs(cfg, (alice,) + cfg.strategies[1:])
+            assert values[i, j] == pytest.approx(want[0], abs=1e-12)
