@@ -6,12 +6,14 @@ optimisation here.  Every function is deterministic and is called directly
 with its grids: :func:`sweep` returns one row per grid point,
 :func:`strategy_surface` one payoff array over both grids.  Ties within
 ``TIE_TOL`` of a grid maximum are broken by one rule, :func:`first_max`.
+Every game setting, the audited strategy profile included, is read from the
+:class:`~qpd3.game.GameConfig` passed in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +36,6 @@ def check_grid_size(points: int, what: str) -> None:
     """Raise ValueError if ``points`` exceeds MAX_GRID_POINTS."""
     if points > MAX_GRID_POINTS:
         raise ValueError(f"{what} has {points} grid points, over the limit of {MAX_GRID_POINTS}")
-
-
-def player_index(player) -> int:
-    """Map 'alice'/'bob'/'charlie' (or 0/1/2) to a slot index."""
-    if isinstance(player, int):
-        if player not in (0, 1, 2):
-            raise ValueError(f"player index must be 0, 1 or 2, got {player}")
-        return player
-    name = str(player).lower()
-    if name not in PLAYER_NAMES:
-        raise ValueError(f"player must be one of {PLAYER_NAMES}, got {player!r}")
-    return PLAYER_NAMES.index(name)
 
 
 def _checked_grid(grid, name: str, lo: float, hi: float) -> tuple:
@@ -76,17 +66,23 @@ def sweep(base: GameConfig, variable: str, grid) -> list[tuple[float, float, flo
     """Rows (x, payoff_A, payoff_B, payoff_C), one per point of ``grid``.
 
     ``variable`` is 'p' or 'mu' and ``grid`` a strictly increasing sequence
-    in [0, 1], substituted into both passages (p1 = p2 or mu1 = mu2); the
-    non-swept channel parameter is taken from ``base.passage1`` and all
-    other settings from ``base``.
+    in [0, 1], substituted into both passages.  Each passage keeps its own
+    value of the other channel parameter, and all other settings come from
+    ``base``.
     """
     if variable not in ("p", "mu"):
         raise ValueError(f"unknown sweep variable {variable!r}")
+    # Passages that agree share one ChannelParams: each construction is validated.
+    one, two = base.passage1, base.passage2
     rows = []
     for x in _checked_grid(grid, variable, 0.0, 1.0):
-        p, mu = (x, base.passage1.mu) if variable == "p" else (base.passage1.p, x)
-        params = ChannelParams(p=p, mu=mu)
-        cfg = GameConfig(base.gamma, base.delta, params, params, base.strategies, base.payoffs)
+        if variable == "p":
+            pass1 = ChannelParams(x, one.mu)
+            pass2 = pass1 if two.mu == one.mu else ChannelParams(x, two.mu)
+        else:
+            pass1 = ChannelParams(one.p, x)
+            pass2 = pass1 if two.p == one.p else ChannelParams(two.p, x)
+        cfg = GameConfig(base.gamma, base.delta, pass1, pass2, base.strategies, base.payoffs)
         pay = PreparedGame(cfg).payoffs(cfg.strategies)
         rows.append((x, pay[0], pay[1], pay[2]))
     return rows
@@ -131,22 +127,17 @@ class BestResponseResult:
     gain_over_claimed: float
 
 
-def best_response(
-    cfg: GameConfig,
-    player,
-    claimed: StrategyParams,
-    resolution: int = 25,
-) -> BestResponseResult:
-    """Exhaustively search one player's (theta, alpha, beta) grid.
+def best_response(cfg: GameConfig, idx: int, resolution: int = 25) -> BestResponseResult:
+    """Exhaustively search the (theta, alpha, beta) grid of the player in slot ``idx``.
 
-    The other two players keep their strategies from ``cfg``.  The reported
-    best point is the lexicographically smallest (theta, alpha, beta) among
-    grid points within TIE_TOL of the exact grid maximum.
+    The claimed strategy is ``cfg.strategies[idx]``; the other two players
+    keep theirs.  The reported best point is the lexicographically smallest
+    (theta, alpha, beta) among grid points within TIE_TOL of the exact grid
+    maximum.
     """
     if resolution < 3:
         raise ValueError(f"resolution must be >= 3, got {resolution}")
     check_grid_size(resolution**3, "the best-response search")
-    idx = player_index(player)
     prepared = PreparedGame(cfg)
 
     def payoff_with(s: StrategyParams) -> float:
@@ -166,7 +157,7 @@ def best_response(
     i, j, k = np.unravel_index(flat, values.shape)
     best = StrategyParams(thetas[i], alphas[j], betas[k])
 
-    at_claimed = payoff_with(claimed)
+    at_claimed = prepared.payoffs(cfg.strategies)[idx]
     return BestResponseResult(
         player=PLAYER_NAMES[idx],
         grid_resolution=resolution,
@@ -187,18 +178,12 @@ class NashCheckResult:
     gain_tolerance: float = NASH_GAIN_TOL
 
 
-def nash_check(cfg: GameConfig, profile, resolution: int = 25) -> NashCheckResult:
-    """True iff no player's grid best response beats the profile by > 1e-9."""
-    profile = tuple(profile)
-    base = replace(cfg, strategies=profile)
-    gains = []
-    bests = []
-    for idx in range(3):
-        res = best_response(base, idx, profile[idx], resolution)
-        gains.append(res.gain_over_claimed)
-        bests.append(res.best)
+def nash_check(cfg: GameConfig, resolution: int = 25) -> NashCheckResult:
+    """True iff no player's grid best response beats ``cfg.strategies`` by > 1e-9."""
+    results = [best_response(cfg, idx, resolution) for idx in range(3)]
+    gains = tuple(r.gain_over_claimed for r in results)
     return NashCheckResult(
         is_equilibrium=all(g <= NASH_GAIN_TOL for g in gains),
-        gains=tuple(gains),
-        best_responses=tuple(bests),
+        gains=gains,
+        best_responses=tuple(r.best for r in results),
     )

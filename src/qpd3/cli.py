@@ -18,6 +18,7 @@ import sys
 from . import analysis, presets, verify
 from .channel import ChannelParams
 from .game import (
+    PLAYER_NAMES,
     GameConfig,
     PayoffTable,
     StrategyParams,
@@ -117,9 +118,11 @@ def _add_game_flags(parser: argparse.ArgumentParser):
     g.add_argument("--mu", type=parse_unit, default=None,
                    help="memory parameter for both passages (default: 0)")
     g.add_argument("--p2", type=parse_unit, default=None,
-                   help="decoherence of the second passage (default: same as --p)")
+                   help="decoherence of the second passage, kept by mu sweeps "
+                        "(default: same as --p)")
     g.add_argument("--mu2", type=parse_unit, default=None,
-                   help="memory of the second passage (default: same as --mu)")
+                   help="memory of the second passage, kept by p sweeps "
+                        "(default: same as --mu)")
     g.add_argument("--table", default=None, metavar="FILE",
                    help="JSON payoff table mapping outcome labels to 3 numbers "
                         "(default: built-in table)")
@@ -191,25 +194,24 @@ def cmd_payoff(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    default_strategies = None
-    if args.preset:
-        var, fixed_p, fixed_mu = _PRESETS[args.preset]
-        default_strategies = presets.sweep_profile()
-        if args.var is None:
-            args.var = var
-        if args.p is None and fixed_p is not None:
-            args.p = fixed_p
-        if args.mu is None and fixed_mu is not None:
-            args.mu = fixed_mu
+    var, fixed_p, fixed_mu = _PRESETS[args.preset] if args.preset else (None, None, None)
+    args.var = args.var or var
     if args.var is None:
         raise ValueError("--var is required (p or mu) unless a sweep preset is given")
+    for flag in (args.var, args.var + "2"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} has no effect with --var {args.var}: "
+                             f"the sweep sets {args.var} in both passages")
+    args.p = fixed_p if args.p is None else args.p
+    args.mu = fixed_mu if args.mu is None else args.mu
+    default_strategies = presets.SWEEP_PROFILE if args.preset else None
     rows = analysis.sweep(_config_from(args, default_strategies), args.var, args.grid)
     _write_csv(args.out, "x,payoff_A,payoff_B,payoff_C", rows)
     return 0
 
 
 def cmd_surface(args) -> int:
-    default_strategies = presets.surface_profile()
+    default_strategies = presets.SURFACE_PROFILE
     if args.preset:
         p, mu = _PRESETS[args.preset]
         if args.p is None:
@@ -227,8 +229,13 @@ def cmd_surface(args) -> int:
 
 
 def cmd_best_response(args) -> int:
-    cfg = _config_from(args)
-    result = analysis.best_response(cfg, args.player, args.claimed, args.res)
+    idx = PLAYER_NAMES.index(args.player)
+    key = "ABC"[idx]
+    if any(k == key for k, _ in args.strategy or []):
+        raise ValueError(f"--strategy {key}:... has no effect with --player {args.player}: "
+                         "--claimed sets that player's strategy")
+    args.strategy = (args.strategy or []) + [(key, args.claimed)]
+    result = analysis.best_response(_config_from(args), idx, args.res)
     out = {
         "player": result.player,
         "grid_resolution": result.grid_resolution,
@@ -242,8 +249,7 @@ def cmd_best_response(args) -> int:
 
 
 def cmd_nash_check(args) -> int:
-    cfg = _config_from(args)
-    result = analysis.nash_check(cfg, cfg.strategies, args.res)
+    result = analysis.nash_check(_config_from(args), args.res)
     out = {
         "is_equilibrium": result.is_equilibrium,
         "gains": list(result.gains),
@@ -307,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("--player", choices=("alice", "bob", "charlie"), required=True,
                       help="which player deviates")
     p_br.add_argument("--claimed", type=parse_triple, required=True,
-                      metavar="THETA,ALPHA,BETA", help="claimed best strategy to compare against")
+                      metavar="THETA,ALPHA,BETA",
+                      help="the deviating player's strategy, compared against the grid; "
+                           "it replaces --strategy for that player, which is refused")
     p_br.add_argument("--res", type=int, default=25,
                       help="grid resolution per axis (default: 25)")
     p_br.set_defaults(func=cmd_best_response)

@@ -143,8 +143,7 @@ class GameConfig:
     """A full game instance.
 
     ``passage1`` is the channel from the arbiter to the players, ``passage2``
-    the channel back.  By convention sweeps set both passages equal unless
-    told otherwise; the config keeps them independent.
+    the channel back; the two are independent.
     """
 
     gamma: float
@@ -319,19 +318,6 @@ def pipeline_payoffs(cfg: GameConfig) -> tuple[float, float, float]:
     probs = outcome_probabilities(cfg)
     pay = probs @ cfg.payoffs.as_array()
     return (float(pay[0]), float(pay[1]), float(pay[2]))
-
-
-def classical_payoff(profile) -> tuple[float, float, float]:
-    """Default-table lookup for a pure-move profile, e.g. ("C", "D", "C")."""
-    bits = []
-    for move in profile:
-        m = str(move).upper()
-        if m not in ("C", "D"):
-            raise ValueError(f"moves must be 'C' or 'D', got {move!r}")
-        bits.append("0" if m == "C" else "1")
-    if len(bits) != 3:
-        raise ValueError(f"profile must have exactly 3 moves, got {len(bits)}")
-    return PayoffTable().payoff("".join(bits))
 
 
 def mu_p_factor(params: ChannelParams) -> float:

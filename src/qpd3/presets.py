@@ -1,12 +1,12 @@
 """Canned game configurations used by the sweeps, surfaces and the CLI presets.
 
-Two families:
+Two strategy profiles, both played in a maximally entangled game
+(gamma = delta = pi/2) built by :func:`entangled_config`:
 
-* the sweep profile: a maximally entangled game (gamma = delta = pi/2) where
-  Alice and Bob play the phaseless half-rotation (pi/2, 0, 0) and Charlie
-  plays the full quantum strategy (pi/2, pi/2, pi/2);
-* the surface profile: same entanglement, Bob and Charlie fixed at
-  (pi/2, 0, 0) while Alice's (alpha1, theta1) plane is scanned with beta1 = 0.
+* :data:`SWEEP_PROFILE`: Alice and Bob play the phaseless half-rotation
+  (pi/2, 0, 0) and Charlie plays the full quantum strategy (pi/2, pi/2, pi/2);
+* :data:`SURFACE_PROFILE`: all three play (pi/2, 0, 0), the starting point
+  of the scan of Alice's (alpha1, theta1) plane with beta1 = 0.
 """
 
 from __future__ import annotations
@@ -18,54 +18,24 @@ from .game import GameConfig, StrategyParams
 
 HALF_PI = math.pi / 2
 
+#: Strategies for the decoherence/memory sweeps (quantum player: Charlie).
+SWEEP_PROFILE = (
+    StrategyParams(HALF_PI, 0.0, 0.0),
+    StrategyParams(HALF_PI, 0.0, 0.0),
+    StrategyParams(HALF_PI, HALF_PI, HALF_PI),
+)
 
-def sweep_profile() -> tuple[StrategyParams, StrategyParams, StrategyParams]:
-    """Strategies for the decoherence/memory sweeps (quantum player: Charlie)."""
-    return (
-        StrategyParams(HALF_PI, 0.0, 0.0),
-        StrategyParams(HALF_PI, 0.0, 0.0),
-        StrategyParams(HALF_PI, HALF_PI, HALF_PI),
-    )
-
-
-def surface_profile() -> tuple[StrategyParams, StrategyParams, StrategyParams]:
-    """Strategies for the Alice (alpha1, theta1) surface scan."""
-    return (
-        StrategyParams(HALF_PI, 0.0, 0.0),
-        StrategyParams(HALF_PI, 0.0, 0.0),
-        StrategyParams(HALF_PI, 0.0, 0.0),
-    )
+#: Strategies for the Alice (alpha1, theta1) surface scan.
+SURFACE_PROFILE = (StrategyParams(HALF_PI, 0.0, 0.0),) * 3
 
 
-def sweep_config(p: float, mu: float) -> GameConfig:
+def entangled_config(p: float, mu: float, strategies) -> GameConfig:
+    """Maximally entangled game with (p, mu) in both channel passages."""
     params = ChannelParams(p=p, mu=mu)
-    return GameConfig(
-        gamma=HALF_PI,
-        delta=HALF_PI,
-        passage1=params,
-        passage2=params,
-        strategies=sweep_profile(),
-    )
-
-
-def surface_config(p: float, mu: float) -> GameConfig:
-    params = ChannelParams(p=p, mu=mu)
-    return GameConfig(
-        gamma=HALF_PI,
-        delta=HALF_PI,
-        passage1=params,
-        passage2=params,
-        strategies=surface_profile(),
-    )
+    return GameConfig(HALF_PI, HALF_PI, params, params, strategies)
 
 
 def classical_config(strategies) -> GameConfig:
     """Unentangled, noiseless embedding of the classical game."""
     off = ChannelParams(p=0.0, mu=0.0)
-    return GameConfig(
-        gamma=0.0,
-        delta=0.0,
-        passage1=off,
-        passage2=off,
-        strategies=tuple(strategies),
-    )
+    return GameConfig(0.0, 0.0, off, off, strategies)

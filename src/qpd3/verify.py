@@ -28,8 +28,8 @@ from .game import (
     BASIS_READING,
     COOPERATE,
     DEFECT,
+    OUTCOMES,
     GameConfig,
-    classical_payoff,
     closed_form_payoffs,
     measurement_projectors,
     mu_p_factor,
@@ -71,12 +71,10 @@ def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 def check_classical_limit() -> CheckResult:
     """All 8 pure classical profiles reproduce the payoff table exactly."""
     worst = 0.0
-    for bits in range(8):
-        moves = ["D" if (bits >> (2 - q)) & 1 else "C" for q in range(3)]
-        strategies = tuple(DEFECT if m == "D" else COOPERATE for m in moves)
-        got = pipeline_payoffs(presets.classical_config(strategies))
-        want = classical_payoff(moves)
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
+    for label in OUTCOMES:
+        cfg = presets.classical_config(DEFECT if bit == "1" else COOPERATE for bit in label)
+        got = pipeline_payoffs(cfg)
+        worst = max(worst, max(abs(a - b) for a, b in zip(got, cfg.payoffs.payoff(label))))
     return CheckResult(
         "classical_limit_exact", worst <= 1e-12, f"max |payoff err| = {worst:.3e}", "1e-12"
     )
@@ -165,7 +163,8 @@ def check_p_sweep_qualitative() -> CheckResult:
     grid = analysis.grid_points(0.0, 1.0, 21)
     curves = {}
     for mu in (0.0, 1.0):
-        curves[mu] = analysis.sweep(presets.sweep_config(0.0, mu), "p", grid)
+        base = presets.entangled_config(0.0, mu, presets.SWEEP_PROFILE)
+        curves[mu] = analysis.sweep(base, "p", grid)
     ab_gap = max(abs(r[1] - r[2]) for rows in curves.values() for r in rows)
     c_minus_a = min(r[3] - r[1] for rows in curves.values() for r in rows)
     memory_gain = min(r1[3] - r0[3] for r0, r1 in zip(curves[0.0], curves[1.0]))
@@ -192,7 +191,8 @@ def check_mu_sweep_monotonicity() -> CheckResult:
     grid = analysis.grid_points(0.0, 1.0, 21)
     worst = math.inf
     for p in (0.3, 0.7):
-        rows = analysis.sweep(presets.sweep_config(p, 0.0), "mu", grid)
+        base = presets.entangled_config(p, 0.0, presets.SWEEP_PROFILE)
+        rows = analysis.sweep(base, "mu", grid)
         for col in (1, 2, 3):
             vals = [r[col] for r in rows]
             worst = min(worst, min(b - a for a, b in zip(vals, vals[1:])))
@@ -219,7 +219,8 @@ def check_surface_argmax_invariance() -> CheckResult:
     argmaxes = set()
     for p in levels:
         for mu in levels:
-            values = analysis.strategy_surface(presets.surface_config(p, mu), alphas, thetas)
+            base = presets.entangled_config(p, mu, presets.SURFACE_PROFILE)
+            values = analysis.strategy_surface(base, alphas, thetas)
             # Transposed, so ties go to the smallest theta1, then the smallest alpha1.
             flat, best = analysis.first_max(values.T)
             if best - values[claimed] > analysis.TIE_TOL:
@@ -240,9 +241,8 @@ def check_surface_argmax_invariance() -> CheckResult:
 
 def check_classical_nash() -> CheckResult:
     """(D,D,D) is an equilibrium of the classical limit; (C,C,C) is not."""
-    cfg = presets.classical_config((COOPERATE,) * 3)
-    ddd = analysis.nash_check(cfg, (DEFECT,) * 3, resolution=9)
-    ccc = analysis.nash_check(cfg, (COOPERATE,) * 3, resolution=9)
+    ddd = analysis.nash_check(presets.classical_config((DEFECT,) * 3), resolution=9)
+    ccc = analysis.nash_check(presets.classical_config((COOPERATE,) * 3), resolution=9)
     expected_gain = 5.0 - 3.0
     gain_err = max(abs(g - expected_gain) for g in ccc.gains)
     passed = ddd.is_equilibrium and not ccc.is_equilibrium and gain_err <= 1e-12
@@ -271,7 +271,7 @@ def check_closed_form(report_path: Path | None) -> CheckResult:
     worst = max(
         closed_form_payoffs(cfg, pipeline_payoffs(cfg)).max_abs_discrepancy for cfg in anchors
     )
-    half = presets.sweep_config(0.5, 0.5)
+    half = presets.entangled_config(0.5, 0.5, presets.SWEEP_PROFILE)
     report = closed_form_payoffs(half, pipeline_payoffs(half))
     persisted = "not persisted"
     if report_path is not None:

@@ -1,6 +1,5 @@
 """Tests for sweeps, surfaces, best responses and equilibrium checks."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from qpd3.analysis import (
     first_max,
     grid_points,
     nash_check,
-    player_index,
     strategy_surface,
     sweep,
 )
@@ -21,18 +19,16 @@ from qpd3.game import COOPERATE, DEFECT, PreparedGame, StrategyParams
 HPI = math.pi / 2
 
 
-def test_player_index():
-    assert player_index("alice") == 0
-    assert player_index("Charlie") == 2
-    assert player_index(1) == 1
-    with pytest.raises(ValueError):
-        player_index("dave")
-    with pytest.raises(ValueError):
-        player_index(3)
+def sweep_config(p, mu):
+    return presets.entangled_config(p, mu, presets.SWEEP_PROFILE)
+
+
+def surface_config(p, mu):
+    return presets.entangled_config(p, mu, presets.SURFACE_PROFILE)
 
 
 def test_sweep_and_surface_argument_checks():
-    base = presets.sweep_config(0.0, 0.0)
+    base = sweep_config(0.0, 0.0)
     with pytest.raises(ValueError, match="nonempty"):
         sweep(base, "p", ())
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -60,14 +56,14 @@ def test_grid_points_contract():
 
 
 def test_sweep_grid_contract():
-    rows = sweep(presets.sweep_config(0.0, 0.0), "p", grid_points(0, 1, 2))
+    rows = sweep(sweep_config(0.0, 0.0), "p", grid_points(0, 1, 2))
     assert [r[0] for r in rows] == [0.0, 1.0]
 
 
 def test_sweep_quantum_player_dominates():
     grid = grid_points(0, 1, 21)
     for mu in (0.0, 1.0):
-        rows = sweep(presets.sweep_config(0.0, mu), "p", grid)
+        rows = sweep(sweep_config(0.0, mu), "p", grid)
         assert len(rows) == 21
         for _, a, b, c in rows:
             assert a == pytest.approx(b, abs=1e-12)
@@ -76,28 +72,28 @@ def test_sweep_quantum_player_dominates():
 
 def test_sweep_noiseless_point_is_memory_independent():
     grid = grid_points(0, 1, 5)
-    rows0 = sweep(presets.sweep_config(0.0, 0.0), "p", grid)
-    rows1 = sweep(presets.sweep_config(0.0, 1.0), "p", grid)
+    rows0 = sweep(sweep_config(0.0, 0.0), "p", grid)
+    rows1 = sweep(sweep_config(0.0, 1.0), "p", grid)
     assert rows0[0][1:] == pytest.approx(rows1[0][1:], abs=1e-12)
 
 
 def test_sweep_memory_monotonicity():
     grid = grid_points(0, 1, 21)
     for p in (0.3, 0.7):
-        rows = sweep(presets.sweep_config(p, 0.0), "mu", grid)
+        rows = sweep(sweep_config(p, 0.0), "mu", grid)
         for col in (1, 2, 3):
             vals = [r[col] for r in rows]
             assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_sweep_determinism():
-    args = (presets.sweep_config(0.0, 0.5), "p", grid_points(0, 1, 7))
+    args = (sweep_config(0.0, 0.5), "p", grid_points(0, 1, 7))
     assert sweep(*args) == sweep(*args)
 
 
 def test_surface_grid_contract_and_order():
     alphas, thetas = (-1.0, 0.5), (0.2, 1.0, 2.5)
-    cfg = presets.surface_config(0.3, 0.3)
+    cfg = surface_config(0.3, 0.3)
     values = strategy_surface(cfg, alphas, thetas)
     assert values.shape == (2, 3)
     # entry [i, j] is Alice's payoff at (alphas[i], thetas[j])
@@ -113,7 +109,7 @@ def test_surface_grid_contract_and_order():
 def test_surface_claimed_point_is_maximal(p, mu):
     alphas = grid_points(-math.pi, math.pi, 41)
     thetas = grid_points(0, math.pi, 41)
-    values = strategy_surface(presets.surface_config(p, mu), alphas, thetas)
+    values = strategy_surface(surface_config(p, mu), alphas, thetas)
     i, j = 30, 20  # the grid points at alpha1 = theta1 = pi/2
     assert alphas[i] == pytest.approx(HPI, abs=1e-12) and thetas[j] == pytest.approx(HPI, abs=1e-12)
     assert values[i, j] >= values.max() - 1e-12
@@ -122,7 +118,7 @@ def test_surface_claimed_point_is_maximal(p, mu):
 def test_surface_argmax_tiebreak_deterministic():
     alphas = grid_points(-math.pi, math.pi, 9)
     thetas = grid_points(0, math.pi, 9)
-    values = strategy_surface(presets.surface_config(0.3, 0.3), alphas, thetas)
+    values = strategy_surface(surface_config(0.3, 0.3), alphas, thetas)
     flat, v = first_max(values.T)
     assert v == values.max()
     j, i = np.unravel_index(flat, values.T.shape)
@@ -134,23 +130,25 @@ def test_surface_argmax_tiebreak_deterministic():
 
 
 def test_best_response_noiseless_claim_is_grid_optimal():
-    cfg = presets.surface_config(0.0, 0.0)
     claimed = StrategyParams(HPI, HPI, 0.0)
-    res = best_response(cfg, "alice", claimed, resolution=25)
+    cfg = presets.entangled_config(0.0, 0.0, (claimed,) + presets.SURFACE_PROFILE[1:])
+    res = best_response(cfg, 0, resolution=25)
+    assert res.player == "alice"
     assert res.gain_over_claimed <= 1e-9
     assert res.best_payoff >= res.payoff_at_claimed - 1e-12
 
 
 def test_best_response_claim_stays_optimal_under_noise():
-    cfg = presets.surface_config(0.7, 1.0)
     claimed = StrategyParams(HPI, HPI, 0.0)
-    res = best_response(cfg, "alice", claimed, resolution=25)
+    cfg = presets.entangled_config(0.7, 1.0, (claimed,) + presets.SURFACE_PROFILE[1:])
+    res = best_response(cfg, 0, resolution=25)
     assert res.gain_over_claimed <= 1e-9
 
 
 def test_best_response_degenerate_grid():
-    cfg = presets.surface_config(0.2, 0.8)
-    res = best_response(cfg, "bob", COOPERATE, resolution=3)
+    alice, _, charlie = presets.SURFACE_PROFILE
+    cfg = presets.entangled_config(0.2, 0.8, (alice, COOPERATE, charlie))
+    res = best_response(cfg, 1, resolution=3)
     axis_theta = grid_points(0, math.pi, 3)
     axis_angle = grid_points(-math.pi, math.pi, 3)
     assert res.best.theta in axis_theta
@@ -158,53 +156,49 @@ def test_best_response_degenerate_grid():
     assert res.best.beta in axis_angle
     assert res.grid_resolution == 3
     with pytest.raises(ValueError):
-        best_response(cfg, "bob", COOPERATE, resolution=2)
+        best_response(cfg, 1, resolution=2)
 
 
 def test_best_response_refinement_never_decreases():
-    cfg = presets.surface_config(0.4, 0.2)
-    coarse = best_response(cfg, "charlie", COOPERATE, resolution=5)
-    fine = best_response(cfg, "charlie", COOPERATE, resolution=9)
+    cfg = presets.entangled_config(0.4, 0.2, presets.SURFACE_PROFILE[:2] + (COOPERATE,))
+    coarse = best_response(cfg, 2, resolution=5)
+    fine = best_response(cfg, 2, resolution=9)
     assert fine.best_payoff >= coarse.best_payoff - 1e-12
 
 
 def test_classical_dominance_of_defection():
     # each player's D payoff beats their C payoff against every opponent
     # combination, per the table
-    cfg = presets.classical_config((COOPERATE,) * 3)
     for player in range(3):
         for others in ((COOPERATE, COOPERATE), (COOPERATE, DEFECT),
                        (DEFECT, COOPERATE), (DEFECT, DEFECT)):
             profile = list(others)
             profile.insert(player, COOPERATE)
-            base = dataclasses.replace(cfg, strategies=tuple(profile))
-            res = best_response(base, player, COOPERATE, resolution=3)
+            res = best_response(presets.classical_config(profile), player, resolution=3)
             assert res.best.theta == pytest.approx(math.pi)
             assert res.gain_over_claimed > 1.0 - 1e-12
 
 
 def test_sweep_payoffs_non_increasing_in_p_without_memory():
     grid = grid_points(0, 1, 21)
-    rows = sweep(presets.sweep_config(0.0, 0.0), "p", grid)
+    rows = sweep(sweep_config(0.0, 0.0), "p", grid)
     for col in (1, 2, 3):
         vals = [r[col] for r in rows]
         assert all(b - a <= 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_nash_check_classical_limit():
-    cfg = presets.classical_config((COOPERATE,) * 3)
-    ddd = nash_check(cfg, (DEFECT,) * 3, resolution=9)
+    ddd = nash_check(presets.classical_config((DEFECT,) * 3), resolution=9)
     assert ddd.is_equilibrium
     assert all(g <= 1e-9 for g in ddd.gains)
 
-    ccc = nash_check(cfg, (COOPERATE,) * 3, resolution=9)
+    ccc = nash_check(presets.classical_config((COOPERATE,) * 3), resolution=9)
     assert not ccc.is_equilibrium
     assert all(g == pytest.approx(2.0, abs=1e-12) for g in ccc.gains)
 
 
 def test_nash_check_reports_gains_for_quantum_profile():
-    cfg = presets.sweep_config(0.0, 0.0)
     profile = (StrategyParams(HPI, HPI, 0.0),) * 3
-    res = nash_check(cfg, profile, resolution=9)
+    res = nash_check(presets.entangled_config(0.0, 0.0, profile), resolution=9)
     assert len(res.gains) == 3
     assert all(np.isfinite(res.gains))

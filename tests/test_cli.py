@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from qpd3 import cli, game, verify
 from qpd3.channel import ChannelParams
 from qpd3.cli import main, parse_angle
@@ -108,6 +109,24 @@ def test_invalid_value_is_an_error(capsys):
         assert f"bad grid {grid!r}" in err and "does not have a finite width" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["sweep", "--var", "p", "--p", "0.3"], "--p"),
+    (["sweep", "--var", "p", "--p2", "0.3"], "--p2"),
+    (["sweep", "--var", "mu", "--mu", "0.3"], "--mu"),
+    (["sweep", "--var", "mu", "--mu2", "0.3"], "--mu2"),
+    (["sweep", "--preset", "fig2", "--p", "0.3"], "--p"),
+    (["sweep", "--preset", "fig3", "--mu2", "0.3"], "--mu2"),
+    (["best-response", "--player", "bob", "--claimed", "0,0,0", "--res", "3",
+      "--strategy", "B:pi,0,0"], "--strategy B"),
+], ids=["p-sweep-p", "p-sweep-p2", "mu-sweep-mu", "mu-sweep-mu2", "fig2-p", "fig3-mu2",
+        "best-response-strategy"])
+def test_flag_without_effect_is_an_error(capsys, argv, flag):
+    # a value the command would overwrite is refused, not silently ignored
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}")
+
+
 @pytest.mark.parametrize("bad", ["passage1", "passage2"])
 def test_invariant_violation_exits_3(capsys, monkeypatch, bad):
     # Diagonal 1 keeps the trace, off-diagonal 2 breaks positivity: the
@@ -153,6 +172,27 @@ def test_sweep_requires_var_without_preset(capsys):
     code, _, err = run_cli(capsys, "sweep")
     assert code == 2
     assert "--var" in err
+
+
+SWEEP_STRATEGIES = [(1.1, 0.4, -0.7), (2.0, -1.2, 0.3), (0.5, 2.5, 1.0)]
+
+
+@pytest.mark.parametrize("var,fixed,second", [("mu", "--p", "--p2"), ("p", "--mu", "--mu2")],
+                         ids=["mu-sweep-p2", "p-sweep-mu2"])
+def test_sweep_keeps_the_second_passage(capsys, var, fixed, second):
+    # the swept value enters both passages; each keeps its own other parameter
+    flags = [f"{k}:{t},{a},{b}" for k, (t, a, b) in zip("ABC", SWEEP_STRATEGIES)]
+    code, out, _ = run_cli(
+        capsys, "sweep", "--var", var, fixed, "0.3", second, "0.8", "--gamma", "1.1",
+        "--delta", "0.7", "--grid", "0:1:11", *(x for f in flags for x in ("--strategy", f)),
+    )
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 11
+    for x, *got in rows:
+        noise = (x, 0.3, x, 0.8) if var == "p" else (0.3, x, 0.8, x)
+        want = oracle.payoffs(1.1, 0.7, *noise, SWEEP_STRATEGIES)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_sweep_csv_bytes_are_reproducible(capsys, tmp_path):

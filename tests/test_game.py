@@ -18,7 +18,6 @@ from qpd3.game import (
     OUTCOMES,
     PayoffTable,
     StrategyParams,
-    classical_payoff,
     closed_form_payoffs,
     initial_state,
     measurement_projectors,
@@ -290,19 +289,6 @@ def test_closed_form_report_structure():
     }
     assert d["max_abs_discrepancy"] == pytest.approx(max(d["per_player_discrepancy"]))
     assert abs(res.terms.c[0] + res.terms.s[0] - 1.0) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# classical payoff lookup
-
-def test_classical_payoff_lookups():
-    assert classical_payoff(("C", "C", "C")) == (3, 3, 3)
-    assert classical_payoff(("D", "C", "C")) == (5, 2, 2)
-    assert classical_payoff(("C", "D", "D")) == (0, 4, 4)
-    with pytest.raises(ValueError):
-        classical_payoff(("C", "X", "D"))
-    with pytest.raises(ValueError):
-        classical_payoff(("C", "D"))
 
 
 # ---------------------------------------------------------------------------
