@@ -87,6 +87,17 @@ def parse_triple(text: str) -> StrategyParams:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def parse_seed(text: str) -> int:
+    """Parse a non-negative integer seed."""
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return val
+
+
 def parse_player_strategy(text: str) -> tuple[str, StrategyParams]:
     """Parse 'A:theta,alpha,beta' (player key A, B or C)."""
     key, sep, rest = str(text).partition(":")
@@ -143,6 +154,11 @@ def _load_table(args) -> PayoffTable:
 
 def _strategies_from(args, default=None):
     strategies = dict(zip("ABC", default or (StrategyParams(0, 0, 0),) * 3))
+    given = [key for key, _ in args.strategy or []]
+    for key in "ABC":
+        if given.count(key) > 1:
+            raise ValueError(f"--strategy {key}:... is given more than once; "
+                             "each player takes one strategy")
     strategies.update(args.strategy or [])
     return (strategies["A"], strategies["B"], strategies["C"])
 
@@ -185,8 +201,8 @@ def cmd_payoff(args) -> int:
         "payoff_C": pay[2],
         "outcome_probabilities": list(probs),
         "closed_form": {
-            "values": list(cf.payoffs),
-            "max_abs_discrepancy": cf.max_abs_discrepancy,
+            "values": cf["payoffs"],
+            "max_abs_discrepancy": cf["max_abs_discrepancy"],
         },
     }
     print(json.dumps(out, indent=2))
@@ -328,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nash.set_defaults(func=cmd_nash_check)
 
     p_ver = sub.add_parser("verify", help="run the built-in verification suite")
-    p_ver.add_argument("--seed", type=int, default=0,
+    p_ver.add_argument("--seed", type=parse_seed, default=0,
                        help="seed for the randomized property checks (default: 0)")
     p_ver.add_argument("--report", default="closed_form_discrepancy.json", metavar="FILE",
                        help="where to persist the closed-form discrepancy report "

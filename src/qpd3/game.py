@@ -29,13 +29,16 @@ Move encoding: qubit value 0 is Cooperate, 1 is Defect; tensor slots are
 
 Closed form
 -----------
-:func:`closed_form_payoffs` evaluates, term by term, a direct trigonometric
-expression for the payoffs whose phase-damping enters only through the
-per-passage coherence factor :func:`mu_p_factor`.  The expression is exact at
-gamma = delta = pi/2 but its two interference blocks (the ones proportional
-to cos(delta) and cos(gamma)) are transcribed from a source with known
-defects, so the evaluator is a diagnostic: it always reports its discrepancy
-against the density-matrix pipeline, which is authoritative.
+:func:`closed_form_payoffs` evaluates a direct trigonometric expression for
+the payoffs, transcribed from the source, whose phase-damping enters only
+through the per-passage coherence factor :func:`mu_p_factor`.  Its eight
+diagonal blocks follow one rule over the outcomes; its two interference
+blocks (weighted cos(delta) and cos(gamma)) are kept term by term.  Measured
+against the pipeline, the transcription is exact when the second passage
+fully dephases (p2 = 1), and its error is mu_p2 times the error of the same
+game without noise, so only the cos(gamma)-weighted block is defective.  The
+evaluator is a diagnostic: it always reports its discrepancy against the
+density-matrix pipeline, which is authoritative.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -117,16 +121,15 @@ class PayoffTable:
             if not (isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v))):
                 raise ValueError(f"payoff entry for {k} must be 3 finite numbers, got {v!r}")
             clean[k] = tuple(float(x) for x in v)
-        object.__setattr__(self, "entries", clean)
-
-    def payoff(self, outcome: str) -> tuple[float, float, float]:
-        if outcome not in self.entries:
-            raise ValueError(f"unknown outcome label {outcome!r}")
-        return self.entries[outcome]
+        # Read-only, so the array built from it below cannot go stale.
+        object.__setattr__(self, "entries", MappingProxyType(clean))
+        array = np.array([clean[k] for k in OUTCOMES])
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
 
     def as_array(self) -> np.ndarray:
-        """(8, 3) array in outcome-index order."""
-        return np.array([self.entries[k] for k in OUTCOMES])
+        """Read-only (8, 3) array in outcome-index order, built once per table."""
+        return self._array
 
     @classmethod
     def from_json(cls, path) -> "PayoffTable":
@@ -335,160 +338,78 @@ def mu_p_factor(params: ChannelParams) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ClosedFormTerms:
-    """The scalar factors entering the closed-form payoff expression."""
+#: _DEFECTS[x, q] is True when player q defects in outcome x (Alice is the most significant bit).
+_DEFECTS = ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1).astype(bool)
 
-    mu_p1: float
-    mu_p2: float
-    eta1: float
-    eta2: float
-    xi: float
-    c: tuple[float, float, float]
-    s: tuple[float, float, float]
+#: phi_x = _PHASE_SIGNS[x] @ (alphas, betas): alpha_q if player q cooperates, else -beta_q.
+_PHASE_SIGNS = np.hstack([~_DEFECTS, -1.0 * _DEFECTS])
+
+#: (-1)^popcount(x): the outcome signs of the first interference block.
+_PARITY = (-1.0) ** _DEFECTS.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
-    """Closed-form payoffs plus their discrepancy against the pipeline."""
-
-    payoffs: tuple[float, float, float]
-    pipeline: tuple[float, float, float]
-    per_player_discrepancy: tuple[float, float, float]
-    max_abs_discrepancy: float
-    terms: ClosedFormTerms
-    basis_reading: str = BASIS_READING
-
-    def as_dict(self) -> dict:
-        return {
-            "payoffs": list(self.payoffs),
-            "pipeline_payoffs": list(self.pipeline),
-            "per_player_discrepancy": list(self.per_player_discrepancy),
-            "max_abs_discrepancy": self.max_abs_discrepancy,
-            "basis_reading": self.basis_reading,
-            "terms": {
-                "mu_p1": self.terms.mu_p1,
-                "mu_p2": self.terms.mu_p2,
-                "eta1": self.terms.eta1,
-                "eta2": self.terms.eta2,
-                "xi": self.terms.xi,
-                "c": list(self.terms.c),
-                "s": list(self.terms.s),
-            },
-        }
-
-
-def closed_form_terms(cfg: GameConfig) -> ClosedFormTerms:
-    g, d = cfg.gamma, cfg.delta
-    thetas = [s.theta for s in cfg.strategies]
-    return ClosedFormTerms(
-        mu_p1=mu_p_factor(cfg.passage1),
-        mu_p2=mu_p_factor(cfg.passage2),
-        eta1=math.cos(g / 2) ** 2 * math.cos(d / 2) ** 2
-        + math.sin(g / 2) ** 2 * math.sin(d / 2) ** 2,
-        eta2=math.sin(g / 2) ** 2 * math.cos(d / 2) ** 2
-        + math.sin(d / 2) ** 2 * math.cos(g / 2) ** 2,
-        xi=0.5 * math.sin(d) * math.sin(g),
-        c=tuple(math.cos(t / 2) ** 2 for t in thetas),
-        s=tuple(math.sin(t / 2) ** 2 for t in thetas),
-    )
-
-
-def closed_form_payoffs(cfg: GameConfig, pipeline) -> ClosedFormResult:
+def closed_form_payoffs(cfg: GameConfig, pipeline) -> dict:
     """Evaluate the closed-form payoff expression and compare to the pipeline.
 
-    ``pipeline`` is ``pipeline_payoffs(cfg)``, the authoritative payoffs the
-    closed form is compared against.
+    ``pipeline`` is ``pipeline_payoffs(cfg)``, the authoritative payoffs.
+    Returns the report as a plain dict: ``payoffs``, ``pipeline_payoffs``,
+    ``per_player_discrepancy``, ``max_abs_discrepancy``, ``basis_reading``
+    and the scalar ``terms`` the expression is built from.
 
-    The expression is transcribed term by term from its source, including two
-    interference blocks (proportional to cos(delta) and cos(gamma)) that are
-    known to be garbled there: the second block repeats a sin(theta_2) factor
-    where sin(theta_3) is plausibly intended.  Agreement with the pipeline is
-    therefore expected only where those blocks vanish (gamma = delta = pi/2)
-    and at the analytic anchor configurations; elsewhere the discrepancy is
-    reported, never asserted away.
+    With T the (8, 3) payoff table, outcome x and its complement 7 - x enter
+    one diagonal block,
+
+        prod_q (s_q if bit q of x else c_q)
+            * (eta1 T[x] + eta2 T[7-x] + (T[x] - T[7-x]) mu_p1 mu_p2 xi cos(2 phi_x)),
+
+    phi_x = sum_q (-beta_q if bit q of x else alpha_q).  The two interference
+    blocks are kept term by term as found, the repeated sin(theta_2) of the
+    second included.  That cos(gamma)-weighted block is the defective one
+    (see the module docstring), so agreement is expected only where its
+    weight mu_p2 cos(gamma) sin(delta) vanishes, as at gamma = pi/2 or
+    delta = 0; elsewhere the discrepancy is reported, never asserted away.
     """
-    terms = closed_form_terms(cfg)
+    g, d = cfg.gamma, cfg.delta
+    cos, sin = math.cos, math.sin
+    mu_p1, mu_p2 = mu_p_factor(cfg.passage1), mu_p_factor(cfg.passage2)
+    eta1 = cos(g / 2) ** 2 * cos(d / 2) ** 2 + sin(g / 2) ** 2 * sin(d / 2) ** 2
+    eta2 = sin(g / 2) ** 2 * cos(d / 2) ** 2 + sin(d / 2) ** 2 * cos(g / 2) ** 2
+    xi = 0.5 * sin(d) * sin(g)
     (t1, a1, b1), (t2, a2, b2), (t3, a3, b3) = (
         (s.theta, s.alpha, s.beta) for s in cfg.strategies
     )
-    c1, c2, c3 = terms.c
-    s1, s2, s3 = terms.s
-    e1, e2, xi = terms.eta1, terms.eta2, terms.xi
-    mm = terms.mu_p1 * terms.mu_p2
-    cos = math.cos
-    sin = math.sin
-
-    payoffs = []
-    for k in range(3):
-        pk = {label: cfg.payoffs.payoff(label)[k] for label in OUTCOMES}
-        v = c1 * c2 * c3 * (
-            e1 * pk["000"] + e2 * pk["111"]
-            + (pk["000"] - pk["111"]) * mm * xi * cos(2 * (a1 + a2 + a3))
-        )
-        v += s1 * s2 * s3 * (
-            e2 * pk["000"] + e1 * pk["111"]
-            - (pk["000"] - pk["111"]) * mm * xi * cos(2 * (b1 + b2 + b3))
-        )
-        v += c1 * c2 * s3 * (
-            e1 * pk["001"] + e2 * pk["110"]
-            + (pk["001"] - pk["110"]) * mm * xi * cos(2 * (a1 + a2 - b3))
-        )
-        v += s1 * s2 * c3 * (
-            e2 * pk["001"] + e1 * pk["110"]
-            - (pk["001"] - pk["110"]) * mm * xi * cos(2 * (b1 + b2 - a3))
-        )
-        v += s1 * c2 * c3 * (
-            e1 * pk["100"] + e2 * pk["011"]
-            + (pk["100"] - pk["011"]) * mm * xi * cos(2 * (a2 + a3 - b1))
-        )
-        v += c1 * s2 * s3 * (
-            e2 * pk["100"] + e1 * pk["011"]
-            - (pk["100"] - pk["011"]) * mm * xi * cos(2 * (b2 + b3 - a1))
-        )
-        v += s1 * c2 * s3 * (
-            e1 * pk["101"] + e2 * pk["010"]
-            + (pk["101"] - pk["010"]) * mm * xi * cos(2 * (b1 + b3 - a2))
-        )
-        v += c1 * s2 * c3 * (
-            e2 * pk["101"] + e1 * pk["010"]
-            - (pk["101"] - pk["010"]) * mm * xi * cos(2 * (a1 + a3 - b2))
-        )
-        # First interference block, weight mu_p1/8 * cos(delta).
-        v += (
-            (terms.mu_p1 / 8.0)
-            * (cos(cfg.delta / 2) ** 2 - sin(cfg.delta / 2) ** 2)
-            * (
-                pk["000"] - pk["111"] - pk["001"] + pk["110"]
-                - pk["010"] + pk["101"] + pk["011"] - pk["100"]
-            )
-            * sin(cfg.gamma) * sin(t1) * sin(t2) * sin(t3)
-            * cos(a1 + a2 + a3 - b1 - b2 - b3)
-        )
-        # Second interference block, weight mu_p2/8 * cos(gamma); the repeated
-        # sin(t2) factor is transcribed as found.
-        block = (pk["000"] - pk["111"]) * sin(cfg.delta) * sin(t1) * sin(t2) * sin(t2) * cos(
-            a1 + a2 + a3 - b1 - b2 - b3
-        )
-        block += (pk["110"] - pk["001"]) * sin(cfg.delta) * sin(t1) * sin(t2) * sin(t2) * cos(
-            a1 + a2 - a3 + b1 + b2 - b3
-        )
-        block += (pk["010"] - pk["101"]) * sin(cfg.delta) * sin(t1) * sin(t2) * sin(t2) * cos(
-            a1 - a2 + a3 + b1 - b2 + b3
-        )
-        block += (pk["100"] - pk["011"]) * sin(cfg.delta) * sin(t1) * sin(t2) * sin(t2) * cos(
-            a1 - a2 - a3 + b1 - b2 - b3
-        )
-        v += block * (terms.mu_p2 / 8.0) * (
-            cos(cfg.gamma / 2) ** 2 - sin(cfg.gamma / 2) ** 2
-        )
-        payoffs.append(v)
-
-    diffs = tuple(abs(a - b) for a, b in zip(payoffs, pipeline))
-    return ClosedFormResult(
-        payoffs=tuple(payoffs),
-        pipeline=pipeline,
-        per_player_discrepancy=diffs,
-        max_abs_discrepancy=max(diffs),
-        terms=terms,
+    c = [cos(t / 2) ** 2 for t in (t1, t2, t3)]
+    s = [sin(t / 2) ** 2 for t in (t1, t2, t3)]
+    table = cfg.payoffs.as_array()
+    complement = table[::-1]  # T[7 - x]
+    gap = table - complement
+    # The eight diagonal blocks, one per outcome x, in one rule.
+    weight = np.where(_DEFECTS, s, c).prod(axis=1)
+    phi = _PHASE_SIGNS @ [a1, a2, a3, b1, b2, b3]
+    coherence = (mu_p1 * mu_p2 * xi * np.cos(2 * phi))[:, None]
+    values = weight @ (eta1 * table + eta2 * complement + gap * coherence)
+    # First interference block, weight mu_p1/8 * cos(delta).
+    values += (
+        (mu_p1 / 8.0) * (cos(d / 2) ** 2 - sin(d / 2) ** 2) * sin(g)
+        * sin(t1) * sin(t2) * sin(t3) * cos(a1 + a2 + a3 - b1 - b2 - b3) * (_PARITY @ table)
     )
+    # Second interference block, weight mu_p2/8 * cos(gamma): four outcome
+    # pairs, each with its own phase; the repeated sin(t2) factor is
+    # transcribed as found.
+    pairs = gap[::2]  # T[0] - T[7], T[2] - T[5], T[4] - T[3], T[6] - T[1]
+    phases = [a1 + a2 + a3 - b1 - b2 - b3, a1 - a2 + a3 + b1 - b2 + b3,
+              a1 - a2 - a3 + b1 - b2 - b3, a1 + a2 - a3 + b1 + b2 - b3]
+    block = sin(d) * sin(t1) * sin(t2) * sin(t2) * (np.cos(phases) @ pairs)
+    values += block * (mu_p2 / 8.0) * (cos(g / 2) ** 2 - sin(g / 2) ** 2)
+
+    payoffs = values.tolist()
+    diffs = [abs(a - b) for a, b in zip(payoffs, pipeline)]
+    return {
+        "payoffs": payoffs,
+        "pipeline_payoffs": list(pipeline),
+        "per_player_discrepancy": diffs,
+        "max_abs_discrepancy": max(diffs),
+        "basis_reading": BASIS_READING,
+        "terms": {"mu_p1": mu_p1, "mu_p2": mu_p2, "eta1": eta1, "eta2": eta2, "xi": xi,
+                  "c": c, "s": s},
+    }

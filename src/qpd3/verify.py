@@ -71,10 +71,10 @@ def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 def check_classical_limit() -> CheckResult:
     """All 8 pure classical profiles reproduce the payoff table exactly."""
     worst = 0.0
-    for label in OUTCOMES:
+    for x, label in enumerate(OUTCOMES):
         cfg = presets.classical_config(DEFECT if bit == "1" else COOPERATE for bit in label)
         got = pipeline_payoffs(cfg)
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, cfg.payoffs.payoff(label))))
+        worst = max(worst, max(abs(a - b) for a, b in zip(got, cfg.payoffs.as_array()[x])))
     return CheckResult(
         "classical_limit_exact", worst <= 1e-12, f"max |payoff err| = {worst:.3e}", "1e-12"
     )
@@ -269,7 +269,7 @@ def check_closed_form(report_path: Path | None) -> CheckResult:
         GameConfig(HALF_PI, HALF_PI, off, off, (DEFECT,) * 3),
     ]
     worst = max(
-        closed_form_payoffs(cfg, pipeline_payoffs(cfg)).max_abs_discrepancy for cfg in anchors
+        closed_form_payoffs(cfg, pipeline_payoffs(cfg))["max_abs_discrepancy"] for cfg in anchors
     )
     half = presets.entangled_config(0.5, 0.5, presets.SWEEP_PROFILE)
     report = closed_form_payoffs(half, pipeline_payoffs(half))
@@ -277,16 +277,15 @@ def check_closed_form(report_path: Path | None) -> CheckResult:
     if report_path is not None:
         report_path = Path(report_path)
         report_path.parent.mkdir(parents=True, exist_ok=True)
-        payload = report.as_dict()
-        payload["config"] = "sweep profile, gamma=delta=pi/2, p=mu=0.5"
-        report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        report["config"] = "sweep profile, gamma=delta=pi/2, p=mu=0.5"
+        report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         persisted = f"report written to {report_path}"
     return CheckResult(
         "closed_form_agreement",
         worst <= 1e-9,
         f"max anchor discrepancy = {worst:.3e}",
         "1e-9",
-        f"p=mu=0.5 sweep-profile discrepancy {report.max_abs_discrepancy:.3e} ({persisted})",
+        f"p=mu=0.5 sweep-profile discrepancy {report['max_abs_discrepancy']:.3e} ({persisted})",
     )
 
 

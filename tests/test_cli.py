@@ -92,9 +92,17 @@ def test_unknown_flag_is_an_error(capsys):
     assert code == 2
 
 
-def test_invalid_value_is_an_error(capsys):
+def test_invalid_value_is_an_error(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "payoff", "--p", "1.5")
     assert code == 2
+    # a second strategy for the same player is refused, not silently kept
+    code, out, err = run_cli(capsys, "payoff", "--strategy", "A:1,0,0", "--strategy", "A:2,0,0")
+    assert code == 2 and out == "" and err.startswith("error: --strategy A:")
+    # a negative seed is refused while parsing, before any check runs or the report is opened
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--report", str(report))
+    assert code == 2 and out == "" and "argument --seed: expected a non-negative integer" in err
+    assert not report.exists()
     code, _, _ = run_cli(capsys, "payoff", "--gamma", "pi")  # gamma max is pi/2
     assert code == 2
     code, _, _ = run_cli(capsys, "payoff", "--strategy", "Z:0,0,0")

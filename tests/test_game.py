@@ -1,5 +1,6 @@
 """Tests for the game pipeline, closed form and payoff table."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -68,14 +69,16 @@ def test_payoff_table_validation(tmp_path):
     with pytest.raises(ValueError):
         PayoffTable(entries={"000": (1, 2, 3)})
     table = PayoffTable()
-    assert table.payoff("000") == (3, 3, 3)
-    with pytest.raises(ValueError):
-        table.payoff("xyz")
+    assert table.as_array()[0].tolist() == [3, 3, 3]
+    assert table.as_array() is table.as_array()
+    assert not table.as_array().flags.writeable
+    with pytest.raises(TypeError):
+        table.entries["000"] = (0, 0, 0)
 
     path = tmp_path / "table.json"
     path.write_text(json.dumps({k: [0, 0, 0] for k in OUTCOMES}))
     loaded = PayoffTable.from_json(path)
-    assert loaded.payoff("111") == (0, 0, 0)
+    assert loaded.as_array()[7].tolist() == [0, 0, 0]
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"000": [1, 2, 3]}))
@@ -169,11 +172,11 @@ def test_entangled_noiseless_anchors():
 
 def test_classical_embedding_all_profiles():
     table = PayoffTable()
-    for bits in itertools.product((0, 1), repeat=3):
+    for x, bits in enumerate(itertools.product((0, 1), repeat=3)):
         strategies = tuple(DEFECT if b else COOPERATE for b in bits)
         cfg = make_config(gamma=0.0, delta=0.0, strategies=strategies)
         got = pipeline_payoffs(cfg)
-        want = table.payoff("".join(str(b) for b in bits))
+        want = table.as_array()[x]
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -264,7 +267,7 @@ def test_closed_form_matches_pipeline_at_anchors():
         for gamma_delta in (0.0, HPI):
             cfg = make_config(gamma=gamma_delta, delta=gamma_delta, strategies=strategies)
             res = closed_form_payoffs(cfg, pipeline_payoffs(cfg))
-            assert res.max_abs_discrepancy <= 1e-9
+            assert res["max_abs_discrepancy"] <= 1e-9
 
 
 @given(unit, unit, unit, unit, strategies_st, strategies_st, strategies_st)
@@ -274,21 +277,112 @@ def test_closed_form_exact_at_maximal_entanglement(p1, mu1, p2, mu2, s1, s2, s3)
     # closed form is an exact description of the pipeline
     cfg = make_config(HPI, HPI, p1, mu1, p2, mu2, (s1, s2, s3))
     res = closed_form_payoffs(cfg, pipeline_payoffs(cfg))
-    assert res.max_abs_discrepancy <= 1e-12
+    assert res["max_abs_discrepancy"] <= 1e-12
 
 
 def test_closed_form_report_structure():
     cfg = make_config(gamma=0.9, delta=0.6, p1=0.3, mu1=0.4, strategies=(
         StrategyParams(1.0, 0.5, -0.5), StrategyParams(HPI, 0, 0), StrategyParams(2.0, 1.0, 1.0),
     ))
-    res = closed_form_payoffs(cfg, pipeline_payoffs(cfg))
-    d = res.as_dict()
-    assert set(d) == {
+    d = closed_form_payoffs(cfg, pipeline_payoffs(cfg))
+    assert list(d) == [
         "payoffs", "pipeline_payoffs", "per_player_discrepancy",
         "max_abs_discrepancy", "basis_reading", "terms",
-    }
+    ]
+    assert list(d["terms"]) == ["mu_p1", "mu_p2", "eta1", "eta2", "xi", "c", "s"]
     assert d["max_abs_discrepancy"] == pytest.approx(max(d["per_player_discrepancy"]))
-    assert abs(res.terms.c[0] + res.terms.s[0] - 1.0) <= 1e-12
+    assert abs(d["terms"]["c"][0] + d["terms"]["s"][0] - 1.0) <= 1e-12
+    json.dumps(d)  # plain JSON types throughout
+
+
+def random_generic_config(rng, p2=None):
+    """gamma, delta inside (0, pi/2), split passages, the default or a random table."""
+    table = PayoffTable()
+    if rng.uniform() < 0.5:
+        table = PayoffTable({k: tuple(rng.uniform(-5.0, 5.0, 3)) for k in OUTCOMES})
+    gamma, delta = rng.uniform(0.05, HPI - 0.05, 2)
+    p1, mu1, p2_drawn, mu2 = rng.uniform(0.0, 1.0, 4)
+    strategies = tuple(
+        StrategyParams(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi),
+                       rng.uniform(-math.pi, math.pi))
+        for _ in range(3)
+    )
+    return GameConfig(gamma, delta, ChannelParams(p1, mu1),
+                      ChannelParams(p2_drawn if p2 is None else p2, mu2), strategies, table)
+
+
+def closed_form_defect(cfg) -> np.ndarray:
+    """Signed closed-form minus pipeline payoffs."""
+    res = closed_form_payoffs(cfg, pipeline_payoffs(cfg))
+    return np.subtract(res["payoffs"], res["pipeline_payoffs"])
+
+
+def test_closed_form_exact_when_second_passage_fully_dephases():
+    # p2 = 1 gives mu_p2 = 0: the cos(gamma)-weighted block drops out and
+    # everything left in the transcription is exact
+    rng = np.random.default_rng(61)
+    for _ in range(150):
+        cfg = random_generic_config(rng, p2=1.0)
+        assert mu_p_factor(cfg.passage2) == 0.0
+        assert max_abs(closed_form_defect(cfg)) <= 1e-12
+
+
+def test_closed_form_defect_is_mu_p2_times_the_noiseless_defect():
+    # the only defective term is linear in mu_p2 and depends on neither passage
+    rng = np.random.default_rng(62)
+    off = ChannelParams(0.0, 0.0)
+    largest = 0.0
+    for _ in range(150):
+        cfg = random_generic_config(rng)
+        noiseless = closed_form_defect(dataclasses.replace(cfg, passage1=off, passage2=off))
+        want = mu_p_factor(cfg.passage2) * noiseless
+        assert max_abs(closed_form_defect(cfg) - want) <= 1e-12
+        largest = max(largest, max_abs(noiseless))
+    assert largest > 0.1  # the defect is real, so the identity is not vacuous
+
+
+_TABLE = {"000": (2, -1, 4), "001": (0, 3, 1), "010": (5, 2, -2), "011": (1, 1, 3),
+          "100": (-3, 4, 0), "101": (2, 0, 5), "110": (4, -2, 1), "111": (3, 5, 2)}
+
+#: (gamma, delta, (p1, mu1, p2, mu2), strategies, custom table?, closed-form payoffs),
+#: recorded from the term-by-term transcription.  These pin the defective
+#: cos(gamma)-weighted block, which the two structural tests above cannot see.
+CLOSED_FORM_GOLDENS = [
+    (0.3861, 0.912, (0.9372, 0.4347, 0.3516, 0.2145),
+     ((2.0315, -1.229, 1.3409), (0.4898, -0.2398, -1.5361), (1.8291, 1.9827, 2.1713)), False,
+     (3.262590400102236, 1.9400392225917977, 3.101553074359982)),
+    (1.1748, 0.1985, (0.2814, 0.6382, 0.4395, 0.3852),
+     ((1.602, -0.178, 0.9446), (2.4327, 0.9664, 2.2249), (1.5075, 1.8968, -0.8696)), False,
+     (2.4665945073722306, 2.9414905639042215, 2.408568073845295)),
+    (1.4457, 0.4517, (0.1716, 0.9146, 0.3892, 0.1827),
+     ((0.4297, -0.0098, 0.8945), (1.4493, 0.0504, -1.0102), (2.8403, -0.3823, 0.8039)), True,
+     (0.9273693384941852, 1.2990040638905618, 1.4953984322982616)),
+    (0.2745, 0.2082, (0.4274, 0.4908, 0.8825, 0.1315),
+     ((0.7978, -2.3852, -0.8569), (0.6749, -2.951, -2.0822), (2.2992, 0.1343, -2.3203)), False,
+     (2.2911133171551477, 2.1434428113678985, 4.2739793146484635)),
+    (0.5183, 0.1407, (0.2391, 0.3642, 0.6494, 0.7089),
+     ((1.1397, -1.4894, 0.0122), (2.8584, -0.0951, -2.3699), (1.2833, -1.2584, -0.2847)), False,
+     (1.9331443018168535, 3.921387607753568, 2.1681380022038055)),
+    (0.6446, 0.2896, (0.3396, 0.6719, 0.3513, 0.5497),
+     ((0.5393, -1.718, -2.2076), (2.6157, 0.804, 0.0774), (0.7954, -0.2444, -0.164)), True,
+     (3.779113403305222, 1.4083305325073145, -0.11530979029918186)),
+    (1.3424, 0.5523, (0.7548, 0.2997, 0.8098, 0.7331),
+     ((0.2535, -1.3263, 2.8223), (2.0502, -0.0321, 2.4416), (1.1436, 1.2145, -0.9375)), False,
+     (2.5189803224834906, 2.87014365203381, 2.7810125084327333)),
+    (0.9663, 1.2283, (0.3847, 0.2697, 0.2621, 0.2283),
+     ((1.7712, 0.4793, -0.5942), (2.538, -2.7653, 0.1016), (1.9052, 0.7401, -2.6315)), False,
+     (2.1326488215805237, 2.5692196890194356, 2.4209774052521404)),
+]
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_GOLDENS)
+def test_closed_form_golden_values(case):
+    gamma, delta, noise, strategies, custom, want = case
+    cfg = make_config(gamma, delta, *noise, tuple(StrategyParams(*s) for s in strategies))
+    if custom:
+        cfg = dataclasses.replace(cfg, payoffs=PayoffTable(_TABLE))
+    got = closed_form_payoffs(cfg, pipeline_payoffs(cfg))["payoffs"]
+    assert got == pytest.approx(want, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
