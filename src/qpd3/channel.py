@@ -16,7 +16,8 @@ deliberately not used.  With mu=0 the weights factor into p_i p_j p_k
 operators are kept so the index bookkeeping stays uniform.
 
 :func:`correlated_triple` builds the operators, which define the channel;
-:func:`dephasing_mask` is the elementwise mask the evaluations run.
+:func:`dephasing_mask` is the elementwise mask the validated evaluation runs;
+the fast evaluation needs only its anti-diagonal, :func:`mu_p_factor`.
 """
 
 from __future__ import annotations
@@ -81,6 +82,22 @@ def _triple_weights(params: ChannelParams) -> list[float]:
         ((1.0 - mu) * p[i] + mu * (i == j)) * ((1.0 - mu) * p[j] + mu * (j == k)) * p[k]
         for i, j, k in _TRIPLE_INDICES
     ]
+
+
+def mu_p_factor(params: ChannelParams) -> float:
+    """Coherence survival factor of one channel passage.
+
+    Literal polynomial
+        (1 - p)(1 - 2p + 4 mu p - 2 mu^2 p + p^2 - 2 mu p^2 + mu^2 p^2);
+    equals every anti-diagonal entry M[x, 7 - x] of M = dephasing_mask(params),
+    which the kernel of :class:`qpd3.game.PreparedGame` relies on.
+    Limits: 1 at p=0, (1-p)^3 at mu=0, (1-p) at mu=1.
+    """
+    p, mu = params.p, params.mu
+    return (1.0 - p) * (
+        1.0 - 2.0 * p + 4.0 * mu * p - 2.0 * mu**2 * p
+        + p**2 - 2.0 * mu * p**2 + mu**2 * p**2
+    )
 
 
 def correlated_triple(params: ChannelParams) -> np.ndarray:

@@ -4,7 +4,8 @@ Subcommands: payoff, sweep, surface, best-response, nash-check, verify.
 Single evaluations and search results are printed as JSON on stdout; sweeps
 and surfaces are written as CSV (stdout by default, or --out FILE).  Exit
 codes: 0 success, 1 failed verification, 2 bad arguments or unreadable
-inputs, 3 numerical invariant violation.
+inputs, 3 numerical invariant violation, 141 (128 + SIGPIPE) when the
+reader of stdout closed it early, as ``qpd3 ... | head`` does.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -360,13 +362,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so a closed pipe is caught below
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"numerical invariant violation: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader is gone: fd 1 goes to devnull, so the final flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,13 +46,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .channel import ChannelParams, dephasing_mask
+from .channel import ChannelParams, dephasing_mask, mu_p_factor
 from .linalg import DEFAULT_ATOL, InvariantViolation, check_density_matrix, max_abs
 
 #: Name of the measurement-basis phase convention in use (see module docstring).
@@ -98,8 +97,11 @@ DEFECT = StrategyParams(math.pi, 0.0, 0.0)
 
 
 def _is_number(x) -> bool:
-    """An int or float within the finite float range (NaN is not); not a boolean."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+    """An int or float of magnitude at most 1e300 (NaN is not); not a boolean.
+
+    The bound keeps the sums of entries that the evaluations form finite.
+    """
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= 1e300
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,8 @@ class PayoffTable:
         for k in OUTCOMES:
             v = self.entries[k]
             if not (isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v))):
-                raise ValueError(f"payoff entry for {k} must be 3 finite numbers, got {v!r}")
+                raise ValueError(f"payoff entry for {k} must be 3 numbers within +-1e300, "
+                                 f"got {v!r}")
             clean[k] = tuple(float(x) for x in v)
         # Read-only, so the array built from it below cannot go stale.
         object.__setattr__(self, "entries", MappingProxyType(clean))
@@ -231,9 +234,15 @@ def measurement_projectors(delta: float) -> np.ndarray:
     return projectors
 
 
-@functools.lru_cache(maxsize=256)
-def _channel_cached(params: ChannelParams) -> np.ndarray:
-    return dephasing_mask(params)
+def _coherence_kernel(params: ChannelParams) -> np.ndarray:
+    """K = I + mu_p_factor(params) J, J the anti-identity: the mask on (x, x) and (x, 7 - x)."""
+    return np.eye(8) + mu_p_factor(params) * np.eye(8)[::-1]
+
+
+def conjugated(rho: np.ndarray, strategies) -> np.ndarray:
+    """U rho U† for the profile unitary U = u_A x u_B x u_C of ``strategies``."""
+    u = _kron3(_profile_unitaries(strategies))
+    return u @ rho @ u.conj().T
 
 
 #: Index letters per qubit for :meth:`PreparedGame.deviation_form`'s
@@ -245,35 +254,21 @@ class PreparedGame:
     """A game with everything but the strategies precomputed.
 
     Used by parameter sweeps and strategy searches, which evaluate many
-    strategy profiles against fixed (gamma, delta, noise) settings.  Both
-    channel passages act as elementwise masks (:func:`dephasing_mask`).  As
-    the second mask M2 is real and symmetric, Tr(P_m (M2 o rho)) equals
-    Tr((M2 o P_m) rho), so the measurement, the second passage and the payoff
-    table fold into one observable per player,
-    W_k = sum_m table[m, k] (M2 o P_m), and a payoff is Tr(W_k U rho1 U†).
+    strategy profiles against fixed (gamma, delta, noise) settings.  rho_in and
+    every P_m occupy only the entries (x, x) and (x, 7 - x), where a passage's
+    mask equals K = I + mu_p_factor J, so rho1 = K1 o rho_in.  As K2 is real
+    and symmetric, Tr(P_m (K2 o rho)) = Tr((K2 o P_m) rho): the measurement,
+    the second passage and the payoff table fold into one observable per
+    player, W_k = sum_m table[m, k] (K2 o P_m), and a payoff is Tr(W_k U rho1 U†).
     """
 
     def __init__(self, cfg: GameConfig):
-        self.rho1 = _channel_cached(cfg.passage1) * initial_state(cfg.gamma)
-        self.mask2 = _channel_cached(cfg.passage2)
-        self.projectors = measurement_projectors(cfg.delta)
-        self.table = cfg.payoffs.as_array()
-        self._observables = None
-
-    @property
-    def observables(self) -> np.ndarray:
-        """(3, 8, 8) stack of the W_k, built on first use: the validated path needs none."""
-        if self._observables is None:
-            self._observables = np.einsum("mk,mxy->kxy", self.table, self.mask2 * self.projectors)
-        return self._observables
-
-    def conjugated(self, strategies) -> np.ndarray:
-        """rho2 = U rho1 U†, the once-dephased state after the players' moves."""
-        u = _kron3(_profile_unitaries(strategies))
-        return u @ self.rho1 @ u.conj().T
+        self.rho1 = _coherence_kernel(cfg.passage1) * initial_state(cfg.gamma)
+        projectors = _coherence_kernel(cfg.passage2) * measurement_projectors(cfg.delta)
+        self.observables = np.einsum("mk,mxy->kxy", cfg.payoffs.as_array(), projectors)
 
     def payoffs(self, strategies) -> tuple[float, float, float]:
-        pay = np.einsum("kxy,yx->k", self.observables, self.conjugated(strategies)).real
+        pay = np.einsum("kxy,yx->k", self.observables, conjugated(self.rho1, strategies)).real
         return (float(pay[0]), float(pay[1]), float(pay[2]))
 
     def deviation_form(self, strategies, idx: int, k: int) -> np.ndarray:
@@ -302,17 +297,20 @@ class PreparedGame:
 def outcome_probabilities(cfg: GameConfig) -> np.ndarray:
     """Probabilities of the eight measurement outcomes, in label order.
 
-    The validated evaluation: the state after each channel passage,
-    rho1 = M1 o rho_in and rho3 = M2 o (U rho1 U†), must pass
-    :func:`check_density_matrix`, and the probabilities must sum to 1.
+    The validated evaluation runs the full masks M = :func:`dephasing_mask`:
+    rho1 = M1 o rho_in and rho3 = M2 o (U rho1 U†) must pass
+    :func:`check_density_matrix`, and the probabilities must sum to 1, none
+    below -DEFAULT_ATOL (rounding residue above it is clamped to 0).
     """
-    prepared = PreparedGame(cfg)
-    check_density_matrix(prepared.rho1)
-    rho3 = check_density_matrix(prepared.mask2 * prepared.conjugated(cfg.strategies))
-    probs = np.einsum("mxy,yx->m", prepared.projectors, rho3).real
+    rho1 = check_density_matrix(dephasing_mask(cfg.passage1) * initial_state(cfg.gamma))
+    rho3 = check_density_matrix(dephasing_mask(cfg.passage2) * conjugated(rho1, cfg.strategies))
+    probs = np.einsum("mxy,yx->m", measurement_projectors(cfg.delta), rho3).real
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
         raise InvariantViolation(f"outcome probabilities sum to {total}, not 1")
+    if probs.min() < -DEFAULT_ATOL:
+        raise InvariantViolation(f"outcome probability {probs.min():.3e} is negative")
+    probs[probs < 0.0] = 0.0
     return probs
 
 
@@ -321,21 +319,6 @@ def pipeline_payoffs(cfg: GameConfig) -> tuple[float, float, float]:
     probs = outcome_probabilities(cfg)
     pay = probs @ cfg.payoffs.as_array()
     return (float(pay[0]), float(pay[1]), float(pay[2]))
-
-
-def mu_p_factor(params: ChannelParams) -> float:
-    """Coherence survival factor of one channel passage.
-
-    Literal polynomial
-        (1 - p)(1 - 2p + 4 mu p - 2 mu^2 p + p^2 - 2 mu p^2 + mu^2 p^2);
-    equals the factor by which one passage damps the <000|rho|111> coherence.
-    Limits: 1 at p=0, (1-p)^3 at mu=0, (1-p) at mu=1.
-    """
-    p, mu = params.p, params.mu
-    return (1.0 - p) * (
-        1.0 - 2.0 * p + 4.0 * mu * p - 2.0 * mu**2 * p
-        + p**2 - 2.0 * mu * p**2 + mu**2 * p**2
-    )
 
 
 #: _DEFECTS[x, q] is True when player q defects in outcome x (Alice is the most significant bit).

@@ -23,6 +23,7 @@ from .channel import (
     correlated_triple,
     dephasing_mask,
     kraus_sum,
+    mu_p_factor,
 )
 from .game import (
     BASIS_READING,
@@ -32,7 +33,6 @@ from .game import (
     GameConfig,
     closed_form_payoffs,
     measurement_projectors,
-    mu_p_factor,
     pipeline_payoffs,
 )
 from .linalg import InvariantViolation, check_density_matrix, max_abs
@@ -97,8 +97,9 @@ def check_channel_soundness(seed: int) -> CheckResult:
     """The mask the evaluations run against the Kraus operators defining the channel.
 
     Complete, diagonal operators whose diagonals d have Gram d.T @ d.conj() = M
-    make the channel exactly M o rho: checked on a 21x21 (p, mu) grid.  On 100
-    seeded random (p, mu, rho), M o rho must be a valid state equal to the Kraus sum.
+    make the channel exactly M o rho; the fast kernel needs M[x, 7 - x] =
+    mu_p_factor: both checked on a 21x21 (p, mu) grid.  On 100 seeded random
+    (p, mu, rho), M o rho must be a valid state equal to the Kraus sum.
     """
     worst = 0.0
     grid = np.linspace(0.0, 1.0, 21)
@@ -107,11 +108,13 @@ def check_channel_soundness(seed: int) -> CheckResult:
             params = ChannelParams(float(p), float(mu))
             ops = correlated_triple(params)
             diag = np.diagonal(ops, axis1=1, axis2=2)
+            mask = dephasing_mask(params)
             worst = max(
                 worst,
                 completeness_defect(ops),
                 max_abs(ops - diag[:, :, None] * np.eye(8)),
-                max_abs(diag.T @ diag.conj() - dephasing_mask(params)),
+                max_abs(diag.T @ diag.conj() - mask),
+                max_abs(np.fliplr(mask).diagonal() - mu_p_factor(params)),
             )
     rng = np.random.default_rng(seed)
     invalid = 0
@@ -129,8 +132,8 @@ def check_channel_soundness(seed: int) -> CheckResult:
         worst <= 1e-12 and not invalid,
         f"max defect = {worst:.3e}",
         "1e-12",
-        "completeness, diagonality and Gram = mask over 21x21 grid; M o rho a valid state "
-        f"in {100 - invalid}/100 random states and compared with the Kraus sum",
+        "completeness, diagonality, Gram = mask and anti-diagonal = mu_p over 21x21 grid; "
+        f"M o rho a valid state in {100 - invalid}/100 random states, equal to the Kraus sum",
     )
 
 

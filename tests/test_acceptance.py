@@ -101,3 +101,16 @@ def test_channel_soundness_fails_on_a_wrong_mask(monkeypatch, where):
     res = verify.check_channel_soundness(seed=0)
     print(res.line())
     assert not res.passed
+
+
+def test_channel_soundness_fails_on_a_wrong_coherence_factor(monkeypatch):
+    # the fast kernel's factor off the mask's anti-diagonal at one grid point
+    original = verify.mu_p_factor
+
+    def mutated(params):
+        return original(params) + (1e-9 if params == ChannelParams(0.5, 0.5) else 0.0)
+
+    monkeypatch.setattr(verify, "mu_p_factor", mutated)
+    res = verify.check_channel_soundness(seed=0)
+    print(res.line())
+    assert not res.passed

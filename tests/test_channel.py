@@ -14,8 +14,8 @@ from qpd3.channel import (
     correlated_triple,
     dephasing_mask,
     kraus_sum,
+    mu_p_factor,
 )
-from qpd3.game import mu_p_factor
 from qpd3.linalg import ID2, SIGMA_Z, InvariantViolation, check_density_matrix, max_abs
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -116,10 +116,18 @@ def test_apply_channel_plus_state_dephasing():
 
 
 def test_triple_coherence_factor_matches_polynomial():
-    for p in np.linspace(0, 1, 11):
-        for mu in np.linspace(0, 1, 11):
+    # every anti-diagonal entry M[x, 7 - x] is the one coherence factor
+    for p in np.linspace(0, 1, 21):
+        for mu in np.linspace(0, 1, 21):
             params = ChannelParams(float(p), float(mu))
-            assert dephasing_mask(params)[0, 7] == pytest.approx(mu_p_factor(params), abs=1e-12)
+            anti = np.fliplr(dephasing_mask(params)).diagonal()
+            np.testing.assert_allclose(anti, mu_p_factor(params), rtol=0, atol=1e-15)
+
+
+@given(unit, unit)
+def test_mu_p_factor_factored_form(p, mu):
+    factored = (1 - p) * ((1 - p) ** 2 + p * (2 - p) * mu * (2 - mu))
+    assert mu_p_factor(ChannelParams(p, mu)) == pytest.approx(factored, abs=1e-15)
 
 
 @given(unit, unit, st.integers(min_value=0, max_value=2**31 - 1))

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
+import qpd3
 from qpd3 import cli, game, verify
 from qpd3.channel import ChannelParams
 from qpd3.cli import main, parse_angle
@@ -142,9 +147,9 @@ def test_invariant_violation_exits_3(capsys, monkeypatch, bad):
     bad_mask = np.full((8, 8), 2.0)
     np.fill_diagonal(bad_mask, 1.0)
     bad_params = {"passage1": ChannelParams(0.2, 0.0), "passage2": ChannelParams(0.4, 0.0)}[bad]
-    original = game._channel_cached
+    original = game.dephasing_mask
     monkeypatch.setattr(
-        game, "_channel_cached",
+        game, "dephasing_mask",
         lambda params: bad_mask if params == bad_params else original(params),
     )
     code, out, err = run_cli(capsys, "payoff", "--p", "0.2", "--p2", "0.4")
@@ -290,7 +295,8 @@ def test_corrupted_table_file(capsys, tmp_path):
 
     # each entry must be a three-element array of numbers
     good = [1, 2, 3]
-    for bad in (5, None, [1, None, 3], "123", [True, 2, 3], [1, 2], [1, 2, 3, 4], [10**400, 2, 3]):
+    for bad in (5, None, [1, None, 3], "123", [True, 2, 3], [1, 2], [1, 2, 3, 4], [10**400, 2, 3],
+                [1.7e308, 2, 3]):
         table = {f"{l}{m}{n}": good for l in (0, 1) for m in (0, 1) for n in (0, 1)}
         table["101"] = bad
         path2.write_text(json.dumps(table))
@@ -368,3 +374,30 @@ def test_help_available(capsys, cmd):
     code, out, _ = run_cli(capsys, cmd, "--help")
     assert code == 0
     assert "default" in out
+
+
+def run_process(argv, stdout):
+    """Run ``python -m qpd3.cli`` in a child process against this checkout's package."""
+    src = str(Path(qpd3.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "qpd3.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+def test_process_entry_point():
+    proc = run_process(["payoff", "--p", "0.3", "--mu", "0.5"], subprocess.PIPE)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert set(json.loads(proc.stdout)) >= {"payoff_A", "outcome_probabilities"}
+
+
+@pytest.mark.parametrize("argv", [["payoff"], ["sweep", "--preset", "fig2"]])
+def test_closed_stdout_exits_141_silently(argv):
+    # the reader is gone before anything is written, as with `qpd3 ... | head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -27,7 +27,7 @@ from qpd3.game import (
     pipeline_payoffs,
     strategy_unitary,
 )
-from qpd3.linalg import max_abs
+from qpd3.linalg import InvariantViolation, max_abs
 
 HPI = math.pi / 2
 
@@ -181,22 +181,48 @@ def test_classical_embedding_all_profiles():
 
 
 def test_outcome_probabilities_normalized_and_bounded():
-    cfg = make_config(p1=0.4, mu1=0.7, strategies=(
-        StrategyParams(1.1, 0.3, -0.2), StrategyParams(2.0, -1.0, 0.5),
-        StrategyParams(0.4, 2.0, 1.0),
-    ))
-    probs = outcome_probabilities(cfg)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(probs >= -1e-12)
+    configs = [
+        make_config(p1=0.4, mu1=0.7, strategies=(
+            StrategyParams(1.1, 0.3, -0.2), StrategyParams(2.0, -1.0, 0.5),
+            StrategyParams(0.4, 2.0, 1.0),
+        )),
+        # noiseless, outcome 001 rounds to -6.9e-18 before the clamp
+        make_config(strategies=(StrategyParams(2.0, 0.0, 0.0), StrategyParams(1.0, 0.0, 0.0),
+                                COOPERATE)),
+    ]
+    for cfg in configs:
+        probs = outcome_probabilities(cfg)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(probs >= 0.0)
 
 
-def test_validated_path_builds_no_observables(monkeypatch):
-    def unused(self):
-        raise AssertionError("the validated path read the payoff observables")
+def test_each_path_runs_only_its_own_channel(monkeypatch):
+    # the fast path needs only the coherence factors, the validated path the full masks
+    def refused(*args):
+        raise AssertionError("called outside its path")
 
-    monkeypatch.setattr(game.PreparedGame, "observables", property(unused))
     cfg = make_config(p1=0.4, mu1=0.7, p2=0.2, strategies=(COOPERATE, DEFECT, COOPERATE))
-    assert outcome_probabilities(cfg).sum() == pytest.approx(1.0, abs=1e-12)
+    with monkeypatch.context() as patch:
+        patch.setattr(game, "dephasing_mask", refused)
+        fast = game.PreparedGame(cfg).payoffs(cfg.strategies)
+    monkeypatch.setattr(game, "PreparedGame", refused)
+    assert pipeline_payoffs(cfg) == pytest.approx(fast, abs=1e-12)
+
+
+def test_negative_probability_is_a_violation(monkeypatch):
+    # P_000 -> 2 P_000 and P_001 -> P_001 - P_000 still sum to I, but the
+    # all-cooperate game then gives outcome 001 probability -1
+    original = game.measurement_projectors
+
+    def skewed(delta):
+        projectors = original(delta).copy()
+        projectors[1] -= projectors[0]
+        projectors[0] *= 2
+        return projectors
+
+    monkeypatch.setattr(game, "measurement_projectors", skewed)
+    with pytest.raises(InvariantViolation, match="negative"):
+        outcome_probabilities(make_config(gamma=0.0, delta=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Differential tests of the evaluation kernel: dephasing mask, per-player
-observables and the one-player quadratic form, against the Kraus-operator
-definition of the channel and the loop-based reference in oracle.py."""
+"""Differential tests of the evaluation kernel: dephasing mask, coherence
+kernel, per-player observables and the one-player quadratic form, against the
+Kraus-operator definition of the channel and the loop-based reference in
+oracle.py."""
 
 import math
 
@@ -10,7 +11,15 @@ import pytest
 import oracle
 from qpd3.analysis import grid_points, strategy_surface
 from qpd3.channel import ChannelParams, correlated_triple, dephasing_mask, kraus_sum
-from qpd3.game import GameConfig, PreparedGame, StrategyParams, strategy_unitary
+from qpd3.game import (
+    GameConfig,
+    PreparedGame,
+    StrategyParams,
+    _coherence_kernel,
+    initial_state,
+    measurement_projectors,
+    strategy_unitary,
+)
 
 
 def random_density(rng, dim):
@@ -61,6 +70,19 @@ def test_mask_matches_kraus_sum():
             np.testing.assert_allclose(
                 mask * rho, kraus_sum(correlated_triple(params), rho), rtol=0, atol=1e-15
             )
+
+
+def test_coherence_kernel_equals_mask_on_states_and_projectors():
+    # rho_in and every P_m live on the entries (x, x) and (x, 7 - x), where K = M
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        gamma, delta = rng.uniform(0.0, math.pi / 2, size=2)
+        params = ChannelParams(*rng.uniform(0.0, 1.0, size=2))
+        mask, kernel = dephasing_mask(params), _coherence_kernel(params)
+        rho = initial_state(float(gamma))
+        projectors = measurement_projectors(float(delta))
+        np.testing.assert_allclose(kernel * rho, mask * rho, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(kernel * projectors, mask * projectors, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
