@@ -17,7 +17,9 @@ operators are kept so the index bookkeeping stays uniform.
 
 :func:`correlated_triple` builds the operators, which define the channel;
 :func:`dephasing_mask` is the elementwise mask the validated evaluation runs;
-the fast evaluation needs only its anti-diagonal, :func:`mu_p_factor`.
+the fast evaluation needs only its anti-diagonal, :func:`mu_p_factor`.  All of
+them broadcast over ``(p, mu)`` arrays, with the grid's axes leading, so
+:mod:`qpd3.verify` checks its grids as array passes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_ATOL, ID2, SIGMA_Z, InvariantViolation, max_abs
+from .linalg import DEFAULT_ATOL, ID2, SIGMA_Z, InvariantViolation
 
 #: Pauli operators selected by the channel index set {0, 3}.
 _SIGMA = {0: ID2, 3: SIGMA_Z}
@@ -49,42 +51,44 @@ _TRIPLE_SIGNS = np.array([[(-1.0) ** bin(n & x).count("1") for x in range(8)] fo
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """One channel passage: decoherence strength ``p`` and memory ``mu``."""
+    """One channel passage: decoherence strength ``p`` and memory ``mu``, or arrays of them."""
 
     p: float
     mu: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise ValueError(f"decoherence parameter p must be in [0, 1], got {self.p}")
-        if not (np.isfinite(self.mu) and 0.0 <= self.mu <= 1.0):
-            raise ValueError(f"memory parameter mu must be in [0, 1], got {self.mu}")
+        for name, value in (("decoherence parameter p", self.p), ("memory parameter mu", self.mu)):
+            inside = (0.0 <= value) & (value <= 1.0)  # False at NaN and inf; a bool for floats
+            if not (inside is True or np.all(inside)):
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
     def error_probabilities(self) -> tuple[float, float]:
         """(p0, p3) = (1 - p/2, p/2), fixed by the single-qubit amplitudes."""
         return (1.0 - self.p / 2.0, self.p / 2.0)
 
 
-def completeness_defect(ops: np.ndarray) -> float:
-    """Max-norm of (sum_k A_k† A_k - I) over a (K, d, d) stack of operators."""
-    return max_abs(np.einsum("kji,kjl->il", ops.conj(), ops) - np.eye(ops.shape[-1]))
+def completeness_defect(ops: np.ndarray) -> float | np.ndarray:
+    """Max-norm of (sum_k A_k† A_k - I) for each (K, d, d) stack of a (..., K, d, d) array."""
+    gram = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+    return np.abs(gram - np.eye(ops.shape[-1])).max(axis=(-2, -1))
 
 
-def _triple_weights(params: ChannelParams) -> list[float]:
-    """Weights w_ijk of A_ijk = sqrt(w_ijk) sigma_i x sigma_j x sigma_k, in index order.
+def _triple_weights(params: ChannelParams) -> np.ndarray:
+    """Weights w_ijk of A_ijk = sqrt(w_ijk) sigma_i x sigma_j x sigma_k, on a trailing axis of 8.
 
     The weight [(1-mu)p_i + mu d_ij][(1-mu)p_j + mu d_jk] p_k is evaluated
     literally, including the asymmetric delta chaining.
     """
-    p = {0: params.error_probabilities()[0], 3: params.error_probabilities()[1]}
-    mu = params.mu
-    return [
-        ((1.0 - mu) * p[i] + mu * (i == j)) * ((1.0 - mu) * p[j] + mu * (j == k)) * p[k]
+    p0, p3 = params.error_probabilities()
+    p, mu, q = {0: p0, 3: p3}, params.mu, 1.0 - params.mu
+    weights = np.array([
+        (q * p[i] + mu * (i == j)) * (q * p[j] + mu * (j == k)) * p[k]
         for i, j, k in _TRIPLE_INDICES
-    ]
+    ])
+    return weights.transpose(*range(1, weights.ndim), 0)  # batch axes first
 
 
-def mu_p_factor(params: ChannelParams) -> float:
+def mu_p_factor(params: ChannelParams) -> float | np.ndarray:
     """Coherence survival factor of one channel passage.
 
     Literal polynomial
@@ -101,15 +105,15 @@ def mu_p_factor(params: ChannelParams) -> float:
 
 
 def correlated_triple(params: ChannelParams) -> np.ndarray:
-    """The Kraus operators A_ijk, as a read-only (8, 8, 8) stack in index order.
+    """The Kraus operators A_ijk, as a read-only (..., 8, 8, 8) stack in index order.
 
-    Completeness, sum A†A = I, is checked at construction.
+    Completeness, sum A†A = I, is checked at construction, at every point.
     """
-    ops = np.sqrt(_triple_weights(params))[:, None, None] * _TRIPLE_PAULIS
+    ops = np.sqrt(_triple_weights(params))[..., None, None] * _TRIPLE_PAULIS
     defect = completeness_defect(ops)
-    if defect > DEFAULT_ATOL:
+    if (defect > DEFAULT_ATOL).any():
         raise InvariantViolation(
-            f"Kraus set is not trace preserving: |sum A†A - I| = {defect:.3e}"
+            f"Kraus set is not trace preserving: |sum A†A - I| = {defect.max():.3e}"
         )
     ops.flags.writeable = False
     return ops
@@ -117,7 +121,7 @@ def correlated_triple(params: ChannelParams) -> np.ndarray:
 
 def kraus_sum(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_k A_k rho A_k† without any validation (the definition the mask is checked against)."""
-    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+    return (ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)).sum(axis=-3)
 
 
 def dephasing_mask(params: ChannelParams) -> np.ndarray:
@@ -126,11 +130,11 @@ def dephasing_mask(params: ChannelParams) -> np.ndarray:
     Every A_ijk is diagonal with entries sqrt(w_ijk) s_ijk(x), s = +-1, so
     sum_ijk A_ijk rho A_ijk† = M o rho with M_xy = sum_ijk w_ijk s_ijk(x) s_ijk(y).
     M is real and symmetric, and M_xx = sum_ijk w_ijk; trace preservation, the
-    completeness check of the Kraus set, is therefore checked on the diagonal.
-    The returned array is read-only.
+    completeness check of the Kraus set, is therefore checked on the diagonal,
+    at every point.  The returned (..., 8, 8) array is read-only.
     """
-    mask = (_TRIPLE_SIGNS.T * _triple_weights(params)) @ _TRIPLE_SIGNS
-    defect = max_abs(mask.diagonal() - 1.0)
+    mask = (_TRIPLE_SIGNS.T * _triple_weights(params)[..., None, :]) @ _TRIPLE_SIGNS
+    defect = np.abs(mask.diagonal(0, -2, -1) - 1.0).max()
     if defect > DEFAULT_ATOL:
         raise InvariantViolation(f"dephasing mask is not trace preserving: defect {defect:.3e}")
     mask.flags.writeable = False

@@ -77,11 +77,15 @@ def test_channel_soundness_holds_for_other_seeds():
         assert res.passed
 
 
-#: Where a wrong mask is substituted: only off the 21x21 grid (so only the
-#: random states see it) or only at one grid point (so only the grid does).
+GRID = np.linspace(0.0, 1.0, 21)
+
+#: Where one mask entry is made wrong, as a condition on a batch's (p, mu):
+#: off the 21x21 grid (so only the random states see it) or at the grid
+#: point (0.5, 0.5) (so only the grid does).  The first point that meets it
+#: is the only one mutated.
 WRONG_AT = {
-    "off-grid": lambda params: params.p not in np.linspace(0.0, 1.0, 21),
-    "one-grid-point": lambda params: params == ChannelParams(0.5, 0.5),
+    "off-grid": lambda p, mu: ~np.isin(p, GRID),
+    "one-grid-point": lambda p, mu: (p == 0.5) & (mu == 0.5),
 }
 
 
@@ -89,28 +93,45 @@ WRONG_AT = {
 def test_channel_soundness_fails_on_a_wrong_mask(monkeypatch, where):
     # one off-diagonal entry moved, the diagonal (trace preservation) kept at 1
     original = verify.dephasing_mask
+    mutated_at = []
 
     def mutated(params):
         mask = original(params)
-        if WRONG_AT[where](params):
+        hit = np.broadcast_to(WRONG_AT[where](params.p, params.mu), mask.shape[:-2])
+        if hit.any() and not mutated_at:
+            mutated_at.append(tuple(np.argwhere(hit)[0]))
             mask = mask.copy()
-            mask[0, 7] += 1e-3
+            mask[mutated_at[0] + (0, 7)] += 1e-3
         return mask
 
     monkeypatch.setattr(verify, "dephasing_mask", mutated)
     res = verify.check_channel_soundness(seed=0)
     print(res.line())
+    assert len(mutated_at) == 1
     assert not res.passed
 
 
 def test_channel_soundness_fails_on_a_wrong_coherence_factor(monkeypatch):
     # the fast kernel's factor off the mask's anti-diagonal at one grid point
     original = verify.mu_p_factor
+    mutated_entries = []
 
     def mutated(params):
-        return original(params) + (1e-9 if params == ChannelParams(0.5, 0.5) else 0.0)
+        hit = (params.p == 0.5) & (params.mu == 0.5)
+        mutated_entries.append(np.count_nonzero(hit))
+        return original(params) + np.where(hit, 1e-9, 0.0)
 
     monkeypatch.setattr(verify, "mu_p_factor", mutated)
     res = verify.check_channel_soundness(seed=0)
     print(res.line())
+    assert sum(mutated_entries) == 1
     assert not res.passed
+
+
+def test_channel_soundness_holds_for_rephased_kraus_operators(monkeypatch):
+    # e^{i phi_k} A_k define the same channel; only a Gram matrix and a Kraus
+    # sum that conjugate the second factor see that
+    original = verify.correlated_triple
+    phases = np.exp(1j * np.arange(1.0, 9.0))[:, None, None]
+    monkeypatch.setattr(verify, "correlated_triple", lambda params: original(params) * phases)
+    _run(verify.check_channel_soundness(seed=0))

@@ -39,15 +39,33 @@ def test_channel_params_validation():
     assert ChannelParams(1.0, 0.0).error_probabilities() == (0.5, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.5])
+@pytest.mark.parametrize("field", ["p", "mu"])
+def test_channel_params_rejects_one_bad_array_entry(field, bad):
+    values = np.linspace(0.0, 1.0, 21)
+    values[7] = bad
+    fields = {"p": 0.3, "mu": 0.4, field: values}
+    with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+        ChannelParams(**fields)
+
+
 def test_kraus_set_rejects_incomplete_sets(monkeypatch):
-    # correlated_triple checks completeness of the operators it builds
+    # both constructions check trace preservation at every point of a batch:
+    # one weight of one point is off
     original = channel._triple_weights
-    for scale in (0.5, 1.1):
-        monkeypatch.setattr(
-            channel, "_triple_weights", lambda params, s=scale: [s * w for w in original(params)]
-        )
-        with pytest.raises(InvariantViolation, match="not trace preserving"):
-            correlated_triple(ChannelParams(0.3, 0.4))
+    row = ChannelParams(0.3, np.linspace(0.0, 1.0, 21))
+    for params, entry in ((ChannelParams(0.3, 0.4), (0,)), (row, (10, 0))):
+        for scale in (0.5, 1.1):
+            def scaled(params, s=scale, entry=entry):
+                weights = original(params).copy()
+                weights[entry] *= s
+                return weights
+
+            monkeypatch.setattr(channel, "_triple_weights", scaled)
+            with pytest.raises(InvariantViolation, match="not trace preserving"):
+                correlated_triple(params)
+            with pytest.raises(InvariantViolation, match="not trace preserving"):
+                dephasing_mask(params)
 
 
 def test_correlated_triple_limits():
@@ -217,3 +235,47 @@ def test_kraus_sum_matches_explicit_sum():
         for op in ops:
             want += op @ rho @ op.conj().T
         np.testing.assert_allclose(kraus_sum(ops, rho), want, rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Broadcasting: array fields of ChannelParams stand for a (p, mu) grid, and
+# every channel function must equal its per-point call on that grid.
+
+AXIS = np.linspace(0.0, 1.0, 21)
+MESH = np.meshgrid(AXIS, AXIS, indexing="ij")
+
+
+def _states(shape):
+    rng = np.random.default_rng(8)
+    return np.array([random_density(rng, 8) for _ in range(math.prod(shape))]).reshape(
+        shape + (8, 8)
+    )
+
+
+#: name -> (function of the params and the point's state, shape of one point's result)
+BATCHED = {
+    "_triple_weights": (lambda params, rho: channel._triple_weights(params), (8,)),
+    "dephasing_mask": (lambda params, rho: dephasing_mask(params), (8, 8)),
+    "correlated_triple": (lambda params, rho: correlated_triple(params), (8, 8, 8)),
+    "completeness_defect": (
+        lambda params, rho: completeness_defect(correlated_triple(params)), ()
+    ),
+    "kraus_sum": (lambda params, rho: kraus_sum(correlated_triple(params), rho), (8, 8)),
+    "mu_p_factor": (lambda params, rho: mu_p_factor(params), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+@pytest.mark.parametrize("p,mu", [MESH, (0.3, AXIS)], ids=["21x21-mesh", "one-p-21-mu"])
+def test_channel_functions_broadcast_over_p_and_mu(name, p, mu):
+    fn, point_shape = BATCHED[name]
+    shape = np.broadcast(p, mu).shape
+    p, mu = np.broadcast_to(p, shape), np.broadcast_to(mu, shape)
+    states = _states(shape)
+    batch = fn(ChannelParams(p, mu), states)
+    assert batch.shape == shape + point_shape
+    for index in np.ndindex(shape):
+        one = fn(ChannelParams(float(p[index]), float(mu[index])), states[index])
+        np.testing.assert_allclose(batch[index], one, rtol=0, atol=1e-15)
+    writeable = one.flags.writeable if isinstance(one, np.ndarray) else True
+    assert batch.flags.writeable == writeable

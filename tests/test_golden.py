@@ -1,5 +1,6 @@
 """Golden outputs: the CSV tables of the figure presets and two generic
-configurations, pinned as sha256 digests of their exact bytes.
+configurations, and the stdout and report file of ``verify``, pinned as
+sha256 digests of their exact bytes.
 
 Any change to the evaluation, the grids or the CSV formatting that moves a
 printed digit fails here.  A deliberate change of output must update these
@@ -43,6 +44,27 @@ def test_csv_output_is_byte_identical(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+#: seed -> digests of ``qpd3 verify --seed N --report report.json`` (stdout,
+#: report file).  The closed_form_agreement line names the report path, so
+#: every run writes the same relative path from a fresh working directory.
+VERIFY_GOLDEN = {
+    0: ("f919aa989866e97335670ba1652067a30ea83504cc48347fed0c256b0d5e6232",
+        "7e14861fc191383fcbce330756ddac8cd97c19c3dc7d196618a9adca407505aa"),
+    3: ("f919aa989866e97335670ba1652067a30ea83504cc48347fed0c256b0d5e6232",
+        "7e14861fc191383fcbce330756ddac8cd97c19c3dc7d196618a9adca407505aa"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_GOLDEN))
+def test_verify_output_is_byte_identical(capsys, monkeypatch, tmp_path, seed):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--seed", str(seed), "--report", "report.json"]) == 1
+    out = capsys.readouterr().out
+    stdout_digest, report_digest = VERIFY_GOLDEN[seed]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == report_digest
 
 
 def test_surface_argmax_invariance_line():
