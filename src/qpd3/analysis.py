@@ -2,9 +2,9 @@
 
 All searches are exhaustive over explicit grids: the payoff landscape is
 smooth but cheap to evaluate at 8x8, so certifiable enumeration beats clever
-optimisation here.  Every function is deterministic and is called directly
-with its grids: :func:`sweep` returns one row per grid point,
-:func:`strategy_surface` one payoff array over both grids.  Ties within
+optimisation here.  Every function is deterministic.  :func:`sweep` takes
+its grid and returns one row per point; the searches build their own grids
+from a resolution per axis and return what ``qpd3`` prints.  Ties within
 ``TIE_TOL`` of a grid maximum are broken by one rule, :func:`first_max`.
 Every game setting, the audited strategy profile included, is read from the
 :class:`~qpd3.game.GameConfig` passed in.
@@ -13,7 +13,6 @@ Every game setting, the audited strategy profile included, is read from the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +37,13 @@ def check_grid_size(points: int, what: str) -> None:
         raise ValueError(f"{what} has {points} grid points, over the limit of {MAX_GRID_POINTS}")
 
 
-def _checked_grid(grid, name: str, lo: float, hi: float) -> tuple:
+def _checked_grid(grid, name: str) -> tuple:
     if len(grid) == 0:
         raise ValueError(f"{name} grid must be nonempty")
     vals = tuple(float(x) for x in grid)
     for x in vals:
-        if not (np.isfinite(x) and lo <= x <= hi):
-            raise ValueError(f"{name} grid value {x} outside [{lo}, {hi}]")
+        if not (np.isfinite(x) and 0.0 <= x <= 1.0):
+            raise ValueError(f"{name} grid value {x} outside [0.0, 1.0]")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError(f"{name} grid must be strictly increasing")
     return vals
@@ -75,7 +74,7 @@ def sweep(base: GameConfig, variable: str, grid) -> list[tuple[float, float, flo
     # Passages that agree share one ChannelParams: each construction is validated.
     one, two = base.passage1, base.passage2
     rows = []
-    for x in _checked_grid(grid, variable, 0.0, 1.0):
+    for x in _checked_grid(grid, variable):
         if variable == "p":
             pass1 = ChannelParams(x, one.mu)
             pass2 = pass1 if two.mu == one.mu else ChannelParams(x, two.mu)
@@ -88,20 +87,22 @@ def sweep(base: GameConfig, variable: str, grid) -> list[tuple[float, float, flo
     return rows
 
 
-def strategy_surface(base: GameConfig, alphas, thetas) -> np.ndarray:
-    """Alice's payoff over an (alpha1, theta1) grid, beta1 kept from ``base``.
+def strategy_surface(base: GameConfig, resolution: int) -> tuple[tuple, tuple, np.ndarray]:
+    """(alphas, thetas, values): Alice's payoff over her (alpha1, theta1) grid.
 
-    ``alphas`` lie in [-pi, pi] and ``thetas`` in [0, pi], each strictly
-    increasing.  Entry [i, j] of the returned (len(alphas), len(thetas))
-    array is the payoff at (alphas[i], thetas[j]).
+    The axes are ``resolution`` points of [-pi, pi] and of [0, pi] from
+    :func:`grid_points`; beta1 is kept from ``base``.  ``values[i, j]`` is
+    the payoff at (alphas[i], thetas[j]).
     """
-    check_grid_size(len(alphas) * len(thetas), "the surface")
-    alphas = _checked_grid(alphas, "alpha1", -math.pi, math.pi)
-    thetas = _checked_grid(thetas, "theta1", 0.0, math.pi)
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    check_grid_size(resolution**2, "the surface")
+    alphas = grid_points(-math.pi, math.pi, resolution)
+    thetas = grid_points(0.0, math.pi, resolution)
     form = PreparedGame(base).deviation_form(base.strategies, 0, 0)
     a, t = np.meshgrid(alphas, thetas, indexing="ij")
     u = strategy_unitary(t, a, base.strategies[0].beta).reshape(-1, 4)
-    return np.einsum("nx,xy,ny->n", u.conj(), form, u).real.reshape(a.shape)
+    return alphas, thetas, np.einsum("nx,xy,ny->n", u.conj(), form, u).real.reshape(a.shape)
 
 
 def first_max(values: np.ndarray) -> tuple[int, float]:
@@ -115,25 +116,13 @@ def first_max(values: np.ndarray) -> tuple[int, float]:
     return int(np.flatnonzero(values >= best - TIE_TOL)[0]), float(best)
 
 
-@dataclass(frozen=True)
-class BestResponseResult:
-    """Outcome of an exhaustive one-player grid search."""
-
-    player: str
-    grid_resolution: int
-    best: StrategyParams
-    best_payoff: float
-    payoff_at_claimed: float
-    gain_over_claimed: float
-
-
-def best_response(cfg: GameConfig, idx: int, resolution: int = 25) -> BestResponseResult:
+def best_response(cfg: GameConfig, idx: int, resolution: int = 25) -> dict:
     """Exhaustively search the (theta, alpha, beta) grid of the player in slot ``idx``.
 
     The claimed strategy is ``cfg.strategies[idx]``; the other two players
-    keep theirs.  The reported best point is the lexicographically smallest
-    (theta, alpha, beta) among grid points within TIE_TOL of the exact grid
-    maximum.
+    keep theirs.  ``best`` is the lexicographically smallest (theta, alpha,
+    beta) grid point within TIE_TOL of the grid maximum.  The keys are those
+    ``qpd3 best-response`` prints, in its order.
     """
     if resolution < 3:
         raise ValueError(f"resolution must be >= 3, got {resolution}")
@@ -155,35 +144,25 @@ def best_response(cfg: GameConfig, idx: int, resolution: int = 25) -> BestRespon
                 values[i, j, k] = payoff_with(StrategyParams(t, a, b))
     flat, best_val = first_max(values)
     i, j, k = np.unravel_index(flat, values.shape)
-    best = StrategyParams(thetas[i], alphas[j], betas[k])
 
     at_claimed = prepared.payoffs(cfg.strategies)[idx]
-    return BestResponseResult(
-        player=PLAYER_NAMES[idx],
-        grid_resolution=resolution,
-        best=best,
-        best_payoff=best_val,
-        payoff_at_claimed=at_claimed,
-        gain_over_claimed=best_val - at_claimed,
-    )
+    return {
+        "player": PLAYER_NAMES[idx],
+        "grid_resolution": resolution,
+        "best": [float(thetas[i]), float(alphas[j]), float(betas[k])],
+        "best_payoff": best_val,
+        "payoff_at_claimed": at_claimed,
+        "gain_over_claimed": best_val - at_claimed,
+    }
 
 
-@dataclass(frozen=True)
-class NashCheckResult:
-    """Unilateral-deviation audit of a strategy profile."""
-
-    is_equilibrium: bool
-    gains: tuple[float, float, float]
-    best_responses: tuple[StrategyParams, StrategyParams, StrategyParams]
-    gain_tolerance: float = NASH_GAIN_TOL
-
-
-def nash_check(cfg: GameConfig, resolution: int = 25) -> NashCheckResult:
-    """True iff no player's grid best response beats ``cfg.strategies`` by > 1e-9."""
+def nash_check(cfg: GameConfig, resolution: int = 25) -> dict:
+    """The ``qpd3 nash-check`` record: equilibrium iff no grid gain exceeds NASH_GAIN_TOL."""
     results = [best_response(cfg, idx, resolution) for idx in range(3)]
-    gains = tuple(r.gain_over_claimed for r in results)
-    return NashCheckResult(
-        is_equilibrium=all(g <= NASH_GAIN_TOL for g in gains),
-        gains=gains,
-        best_responses=tuple(r.best for r in results),
-    )
+    gains = [r["gain_over_claimed"] for r in results]
+    return {
+        "is_equilibrium": all(g <= NASH_GAIN_TOL for g in gains),
+        "gains": gains,
+        "gain_tolerance": NASH_GAIN_TOL,
+        "best_responses": [r["best"] for r in results],
+    }

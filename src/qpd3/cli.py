@@ -120,7 +120,8 @@ _PRESETS = {
 }
 
 
-def _add_game_flags(parser: argparse.ArgumentParser):
+def _add_game_flags(parser: argparse.ArgumentParser,
+                    strategy_default: str = "all cooperate, i.e. 0,0,0"):
     g = parser.add_argument_group("game parameters")
     g.add_argument("--gamma", type=parse_angle, default=math.pi / 2,
                    help="initial-state entanglement in [0, pi/2] (default: pi/2)")
@@ -142,7 +143,7 @@ def _add_game_flags(parser: argparse.ArgumentParser):
     g.add_argument("--strategy", action="append", type=parse_player_strategy,
                    default=None, metavar="P:THETA,ALPHA,BETA",
                    help="strategy for player A, B or C, repeatable "
-                        "(default: all cooperate, i.e. 0,0,0)")
+                        f"(default: {strategy_default})")
 
 
 def _load_table(args) -> PayoffTable:
@@ -229,18 +230,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    default_strategies = presets.SURFACE_PROFILE
     if args.preset:
         p, mu = _PRESETS[args.preset]
         if args.p is None:
             args.p = p
         if args.mu is None:
             args.mu = mu
-    cfg = _config_from(args, default_strategies)
-    analysis.check_grid_size(args.res**2, "the surface")  # before the grids are built
-    alphas = analysis.grid_points(-math.pi, math.pi, args.res)
-    thetas = analysis.grid_points(0.0, math.pi, args.res)
-    values = analysis.strategy_surface(cfg, alphas, thetas)
+    cfg = _config_from(args, presets.SURFACE_PROFILE)
+    alphas, thetas, values = analysis.strategy_surface(cfg, args.res)
     rows = ((a, t, values[i, j]) for i, a in enumerate(alphas) for j, t in enumerate(thetas))
     _write_csv(args.out, "alpha1,theta1,payoff_A", rows)
     return 0
@@ -253,28 +250,12 @@ def cmd_best_response(args) -> int:
         raise ValueError(f"--strategy {key}:... has no effect with --player {args.player}: "
                          "--claimed sets that player's strategy")
     args.strategy = (args.strategy or []) + [(key, args.claimed)]
-    result = analysis.best_response(_config_from(args), idx, args.res)
-    out = {
-        "player": result.player,
-        "grid_resolution": result.grid_resolution,
-        "best": [result.best.theta, result.best.alpha, result.best.beta],
-        "best_payoff": result.best_payoff,
-        "payoff_at_claimed": result.payoff_at_claimed,
-        "gain_over_claimed": result.gain_over_claimed,
-    }
-    print(json.dumps(out, indent=2))
+    print(json.dumps(analysis.best_response(_config_from(args), idx, args.res), indent=2))
     return 0
 
 
 def cmd_nash_check(args) -> int:
-    result = analysis.nash_check(_config_from(args), args.res)
-    out = {
-        "is_equilibrium": result.is_equilibrium,
-        "gains": list(result.gains),
-        "gain_tolerance": result.gain_tolerance,
-        "best_responses": [[s.theta, s.alpha, s.beta] for s in result.best_responses],
-    }
-    print(json.dumps(out, indent=2))
+    print(json.dumps(analysis.nash_check(_config_from(args), args.res), indent=2))
     return 0
 
 
@@ -304,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pay.set_defaults(func=cmd_payoff)
 
     p_sweep = sub.add_parser("sweep", help="sweep p or mu and write a CSV table")
-    _add_game_flags(p_sweep)
+    _add_game_flags(p_sweep, "all cooperate, i.e. 0,0,0; with --preset, "
+                             "A and B play pi/2,0,0 and C plays pi/2,pi/2,pi/2")
     p_sweep.add_argument("--var", choices=("p", "mu"), default=None,
                          help="variable to sweep (default: from preset)")
     p_sweep.add_argument("--grid", type=parse_grid, default=analysis.grid_points(0, 1, 21),
@@ -316,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_surf = sub.add_parser("surface", help="scan Alice's (alpha1, theta1) payoff surface")
-    _add_game_flags(p_surf)
+    _add_game_flags(p_surf, "all play pi/2,0,0")
     p_surf.add_argument("--res", type=int, default=41,
                         help="grid resolution per axis (default: 41)")
     p_surf.add_argument("--preset", choices=("fig4", "fig5"), default=None,

@@ -214,16 +214,16 @@ def check_surface_argmax_invariance() -> CheckResult:
     line ties it), so the claim is checked as membership of the claimed
     point in the maximising set, at every (p, mu) in {0, 0.3, 0.7, 1}^2.
     """
-    alphas = analysis.grid_points(-math.pi, math.pi, 41)
-    thetas = analysis.grid_points(0.0, math.pi, 41)
-    claimed = tuple(int(np.abs(np.subtract(axis, HALF_PI)).argmin()) for axis in (alphas, thetas))
     levels = (0.0, 0.3, 0.7, 1.0)
     failures = []
     argmaxes = set()
     for p in levels:
         for mu in levels:
             base = presets.entangled_config(p, mu, presets.SURFACE_PROFILE)
-            values = analysis.strategy_surface(base, alphas, thetas)
+            alphas, thetas, values = analysis.strategy_surface(base, 41)
+            claimed = tuple(
+                int(np.abs(np.subtract(axis, HALF_PI)).argmin()) for axis in (alphas, thetas)
+            )
             # Transposed, so ties go to the smallest theta1, then the smallest alpha1.
             flat, best = analysis.first_max(values.T)
             if best - values[claimed] > analysis.TIE_TOL:
@@ -247,11 +247,11 @@ def check_classical_nash() -> CheckResult:
     ddd = analysis.nash_check(presets.classical_config((DEFECT,) * 3), resolution=9)
     ccc = analysis.nash_check(presets.classical_config((COOPERATE,) * 3), resolution=9)
     expected_gain = 5.0 - 3.0
-    gain_err = max(abs(g - expected_gain) for g in ccc.gains)
-    passed = ddd.is_equilibrium and not ccc.is_equilibrium and gain_err <= 1e-12
+    gain_err = max(abs(g - expected_gain) for g in ccc["gains"])
+    passed = ddd["is_equilibrium"] and not ccc["is_equilibrium"] and gain_err <= 1e-12
     measured = (
-        f"all-D gains {tuple(f'{g:.1e}' for g in ddd.gains)}, "
-        f"all-C deviation gain {ccc.gains[0]:.6f}"
+        f"all-D gains {tuple(f'{g:.1e}' for g in ddd['gains'])}, "
+        f"all-C deviation gain {ccc['gains'][0]:.6f}"
     )
     return CheckResult(
         "classical_nash", passed, measured, "gain tol 1e-9; C-deviation = 2 exactly"

@@ -37,12 +37,17 @@ def test_sweep_and_surface_argument_checks():
         sweep(base, "p", (0.0, 1.2))
     with pytest.raises(ValueError, match="unknown sweep variable"):
         sweep(base, "q", (0.0, 1.0))
-    with pytest.raises(ValueError, match="theta1 grid must be nonempty"):
-        strategy_surface(base, (0.0,), ())
-    with pytest.raises(ValueError, match="alpha1 grid value"):
-        strategy_surface(base, (0.0, 4.0), (0.0,))
-    with pytest.raises(ValueError, match="over the limit"):
-        strategy_surface(base, grid_points(-math.pi, math.pi, 1001), grid_points(0, math.pi, 1000))
+    for resolution in (0, -1):
+        with pytest.raises(ValueError, match=rf"resolution must be >= 1, got {resolution}$"):
+            strategy_surface(base, resolution)
+    with pytest.raises(ValueError, match="the surface has 1002001 grid points, over the limit"):
+        strategy_surface(base, 1001)
+    alphas, thetas, values = strategy_surface(base, 1)
+    assert (alphas, thetas) == ((-math.pi,), (0.0,))
+    assert values.shape == (1, 1)
+    alice = StrategyParams(0.0, -math.pi, base.strategies[0].beta)
+    want = PreparedGame(base).payoffs((alice,) + base.strategies[1:])[0]
+    assert values[0, 0] == pytest.approx(want, abs=1e-12)
 
 
 def test_grid_points_contract():
@@ -92,10 +97,11 @@ def test_sweep_determinism():
 
 
 def test_surface_grid_contract_and_order():
-    alphas, thetas = (-1.0, 0.5), (0.2, 1.0, 2.5)
     cfg = surface_config(0.3, 0.3)
-    values = strategy_surface(cfg, alphas, thetas)
-    assert values.shape == (2, 3)
+    alphas, thetas, values = strategy_surface(cfg, 3)
+    assert alphas == grid_points(-math.pi, math.pi, 3)
+    assert thetas == grid_points(0, math.pi, 3)
+    assert values.shape == (3, 3)
     # entry [i, j] is Alice's payoff at (alphas[i], thetas[j])
     prepared = PreparedGame(cfg)
     for i, a in enumerate(alphas):
@@ -107,18 +113,14 @@ def test_surface_grid_contract_and_order():
 
 @pytest.mark.parametrize("p,mu", [(0.3, 0.3), (0.7, 0.7)])
 def test_surface_claimed_point_is_maximal(p, mu):
-    alphas = grid_points(-math.pi, math.pi, 41)
-    thetas = grid_points(0, math.pi, 41)
-    values = strategy_surface(surface_config(p, mu), alphas, thetas)
+    alphas, thetas, values = strategy_surface(surface_config(p, mu), 41)
     i, j = 30, 20  # the grid points at alpha1 = theta1 = pi/2
     assert alphas[i] == pytest.approx(HPI, abs=1e-12) and thetas[j] == pytest.approx(HPI, abs=1e-12)
     assert values[i, j] >= values.max() - 1e-12
 
 
 def test_surface_argmax_tiebreak_deterministic():
-    alphas = grid_points(-math.pi, math.pi, 9)
-    thetas = grid_points(0, math.pi, 9)
-    values = strategy_surface(surface_config(0.3, 0.3), alphas, thetas)
+    alphas, thetas, values = strategy_surface(surface_config(0.3, 0.3), 9)
     flat, v = first_max(values.T)
     assert v == values.max()
     j, i = np.unravel_index(flat, values.T.shape)
@@ -133,16 +135,19 @@ def test_best_response_noiseless_claim_is_grid_optimal():
     claimed = StrategyParams(HPI, HPI, 0.0)
     cfg = presets.entangled_config(0.0, 0.0, (claimed,) + presets.SURFACE_PROFILE[1:])
     res = best_response(cfg, 0, resolution=25)
-    assert res.player == "alice"
-    assert res.gain_over_claimed <= 1e-9
-    assert res.best_payoff >= res.payoff_at_claimed - 1e-12
+    assert list(res) == ["player", "grid_resolution", "best", "best_payoff",
+                         "payoff_at_claimed", "gain_over_claimed"]
+    assert res["player"] == "alice"
+    assert res["gain_over_claimed"] <= 1e-9
+    assert res["best_payoff"] >= res["payoff_at_claimed"] - 1e-12
+    assert res["gain_over_claimed"] == res["best_payoff"] - res["payoff_at_claimed"]
 
 
 def test_best_response_claim_stays_optimal_under_noise():
     claimed = StrategyParams(HPI, HPI, 0.0)
     cfg = presets.entangled_config(0.7, 1.0, (claimed,) + presets.SURFACE_PROFILE[1:])
     res = best_response(cfg, 0, resolution=25)
-    assert res.gain_over_claimed <= 1e-9
+    assert res["gain_over_claimed"] <= 1e-9
 
 
 def test_best_response_degenerate_grid():
@@ -151,10 +156,12 @@ def test_best_response_degenerate_grid():
     res = best_response(cfg, 1, resolution=3)
     axis_theta = grid_points(0, math.pi, 3)
     axis_angle = grid_points(-math.pi, math.pi, 3)
-    assert res.best.theta in axis_theta
-    assert res.best.alpha in axis_angle
-    assert res.best.beta in axis_angle
-    assert res.grid_resolution == 3
+    theta, alpha, beta = res["best"]
+    assert all(type(x) is float for x in res["best"])
+    assert theta in axis_theta
+    assert alpha in axis_angle
+    assert beta in axis_angle
+    assert res["grid_resolution"] == 3
     with pytest.raises(ValueError):
         best_response(cfg, 1, resolution=2)
 
@@ -163,7 +170,7 @@ def test_best_response_refinement_never_decreases():
     cfg = presets.entangled_config(0.4, 0.2, presets.SURFACE_PROFILE[:2] + (COOPERATE,))
     coarse = best_response(cfg, 2, resolution=5)
     fine = best_response(cfg, 2, resolution=9)
-    assert fine.best_payoff >= coarse.best_payoff - 1e-12
+    assert fine["best_payoff"] >= coarse["best_payoff"] - 1e-12
 
 
 def test_classical_dominance_of_defection():
@@ -175,8 +182,8 @@ def test_classical_dominance_of_defection():
             profile = list(others)
             profile.insert(player, COOPERATE)
             res = best_response(presets.classical_config(profile), player, resolution=3)
-            assert res.best.theta == pytest.approx(math.pi)
-            assert res.gain_over_claimed > 1.0 - 1e-12
+            assert res["best"][0] == pytest.approx(math.pi)
+            assert res["gain_over_claimed"] > 1.0 - 1e-12
 
 
 def test_sweep_payoffs_non_increasing_in_p_without_memory():
@@ -189,16 +196,23 @@ def test_sweep_payoffs_non_increasing_in_p_without_memory():
 
 def test_nash_check_classical_limit():
     ddd = nash_check(presets.classical_config((DEFECT,) * 3), resolution=9)
-    assert ddd.is_equilibrium
-    assert all(g <= 1e-9 for g in ddd.gains)
+    assert list(ddd) == ["is_equilibrium", "gains", "gain_tolerance", "best_responses"]
+    assert ddd["is_equilibrium"] is True
+    assert ddd["gain_tolerance"] == 1e-9
+    assert all(g <= 1e-9 for g in ddd["gains"])
+    assert ddd["best_responses"] == [[math.pi, -math.pi, -math.pi]] * 3
 
     ccc = nash_check(presets.classical_config((COOPERATE,) * 3), resolution=9)
-    assert not ccc.is_equilibrium
-    assert all(g == pytest.approx(2.0, abs=1e-12) for g in ccc.gains)
+    assert ccc["is_equilibrium"] is False
+    assert all(g == pytest.approx(2.0, abs=1e-12) for g in ccc["gains"])
 
 
 def test_nash_check_reports_gains_for_quantum_profile():
     profile = (StrategyParams(HPI, HPI, 0.0),) * 3
     res = nash_check(presets.entangled_config(0.0, 0.0, profile), resolution=9)
-    assert len(res.gains) == 3
-    assert all(np.isfinite(res.gains))
+    assert len(res["gains"]) == 3
+    assert all(np.isfinite(res["gains"]))
+    for idx in range(3):
+        single = best_response(presets.entangled_config(0.0, 0.0, profile), idx, resolution=9)
+        assert res["gains"][idx] == single["gain_over_claimed"]
+        assert res["best_responses"][idx] == single["best"]

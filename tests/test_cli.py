@@ -237,6 +237,28 @@ def test_surface_preset_claimed_point_is_max(capsys):
     assert claimed and claimed[0][2] == pytest.approx(best, abs=1e-12)
 
 
+@pytest.mark.parametrize("res", ["-2000", "0"])
+def test_surface_refuses_a_non_positive_resolution(capsys, res):
+    code, out, err = run_cli(capsys, "surface", "--res", res)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: resolution must be >= 1, got {res}\n"
+
+
+@pytest.mark.parametrize("cmd,default", [
+    ("surface", "all play pi/2,0,0"),
+    ("sweep", "all cooperate, i.e. 0,0,0; with --preset, A and B play pi/2,0,0 "
+              "and C plays pi/2,pi/2,pi/2"),
+    ("payoff", "all cooperate, i.e. 0,0,0"),
+    ("best-response", "all cooperate, i.e. 0,0,0"),
+    ("nash-check", "all cooperate, i.e. 0,0,0"),
+])
+def test_strategy_help_states_each_commands_default(capsys, cmd, default):
+    code, out, _ = run_cli(capsys, cmd, "--help")
+    assert code == 0
+    assert f"(default: {default})" in " ".join(out.split())
+
+
 def test_best_response_json(capsys):
     code, out, _ = run_cli(
         capsys, "best-response", "--player", "alice", "--claimed", "pi/2,pi/2,0",

@@ -1,6 +1,6 @@
 """Golden outputs: the CSV tables of the figure presets and two generic
-configurations, and the stdout and report file of ``verify``, pinned as
-sha256 digests of their exact bytes.
+configurations, the JSON of the searches and of one payoff, and the stdout
+and report file of ``verify``, pinned as sha256 digests of their exact bytes.
 
 Any change to the evaluation, the grids or the CSV formatting that moves a
 printed digit fails here.  A deliberate change of output must update these
@@ -16,6 +16,9 @@ from qpd3.cli import main
 
 STRATEGIES = ["--strategy", "A:1.1,0.4,-0.7", "--strategy", "B:2.0,-1.2,0.3",
               "--strategy", "C:0.5,2.5,1.0"]
+#: Split passages: each passage has its own p and mu.
+SPLIT = ["--p", "0.2", "--mu", "0.5", "--p2", "0.6", "--mu2", "0.9",
+         "--gamma", "1.2", "--delta", "0.9"]
 
 # fig2 and fig3 print the same table: under the canned sweep profile every
 # payoff is constant in p and mu (see verify.check_p_sweep_qualitative).
@@ -31,8 +34,7 @@ GOLDEN = [
      "078c3b1fab7910c029b3979b97d1d8d28aea30f4f887b441f5a8bb2934919641"),
     (["surface", "--preset", "fig5"],
      "61c1e4608edce5b2da5c23014bd75c76f0d5c3ab4d2c361ca2d11bc8bbd19f7b"),
-    (["surface", "--res", "61", "--p", "0.2", "--mu", "0.5", "--p2", "0.6", "--mu2", "0.9",
-      "--gamma", "1.2", "--delta", "0.9"] + STRATEGIES,
+    (["surface", "--res", "61"] + SPLIT + STRATEGIES,
      "109b3458e631633f4e1edaa7a05ca5cc1fe1594ed2ffd5aa635cc7faa4c6467d"),
 ]
 
@@ -41,6 +43,30 @@ GOLDEN = [
     "argv,digest", GOLDEN, ids=["fig2", "fig3", "mu-sweep", "fig4", "fig5", "surface-res61"]
 )
 def test_csv_output_is_byte_identical(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+#: The JSON records of the searches and one split-passage payoff.
+JSON_GOLDEN = [
+    (["best-response", "--player", "alice", "--claimed", "pi/2,pi/2,0",
+      "--strategy", "B:pi/2,0,0", "--strategy", "C:pi/2,0,0", "--res", "9"],
+     "f93c64d94fb627d03be99cac9cc51cc23772db868a054e6863d4cda436a2e7ef"),
+    (["nash-check", "--gamma", "0", "--delta", "0", "--strategy", "A:pi,0,0",
+      "--strategy", "B:pi,0,0", "--strategy", "C:pi,0,0", "--res", "5"],
+     "9f811fb0e9871049002ae3f2969b5b5235727da04d669a66e399d350462401d3"),
+    (["nash-check", "--res", "7"] + SPLIT + STRATEGIES,
+     "70f081315f51ef7d6d8f5409fc8f9f30d0680f3867740f5cb1e7eb2e0c2a4c20"),
+    (["payoff"] + SPLIT + STRATEGIES,
+     "2fcd6b7cc4e25e201a82f8c8f7f7128451449d54f599de283b9d09f80cc71465"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", JSON_GOLDEN, ids=["best-response", "nash-classical", "nash-noisy", "payoff"]
+)
+def test_json_output_is_byte_identical(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

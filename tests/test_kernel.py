@@ -113,11 +113,11 @@ def test_deviation_form_matches_oracle(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_surface_rows_match_oracle(seed):
     cfg = random_config(seed)
-    alphas = grid_points(-math.pi, math.pi, 3)
-    thetas = grid_points(0.0, math.pi, 4)
-    values = strategy_surface(cfg, alphas, thetas)
+    alphas, thetas, values = strategy_surface(cfg, 4)
+    assert alphas == grid_points(-math.pi, math.pi, 4)
+    assert thetas == grid_points(0.0, math.pi, 4)
     beta1 = cfg.strategies[0].beta
-    assert values.shape == (len(alphas), len(thetas))
+    assert values.shape == (4, 4)
     for i, a in enumerate(alphas):
         for j, t in enumerate(thetas):
             alice = StrategyParams(t, a, beta1)
