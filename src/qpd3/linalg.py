@@ -1,10 +1,10 @@
 """Small dense complex linear algebra for states and operators up to 8x8.
 
 Everything is a plain ``numpy.ndarray`` with dtype complex128.  The helpers
-here add the validation this package relies on (finiteness, shape checks,
-Hermiticity, unit trace and positivity of states) on top of numpy's
-arithmetic.  The only decomposition used is the Hermitian eigenvalue solver
-behind the positivity check; nothing is inverted.
+here add the validation this package relies on (finiteness, shape checks, and
+Hermiticity, unit trace and positivity of states, one by one or as a stack) on
+top of numpy's arithmetic.  The only decomposition used is the Hermitian
+eigenvalue solver behind the positivity check; nothing is inverted.
 """
 
 from __future__ import annotations
@@ -39,28 +39,34 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(np.asarray(a))))
 
 
+def state_defects(rho) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per state of a ``(..., d, d)`` stack: three defects, and whether each is <= DEFAULT_ATOL."""
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    trace = abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    neg = -np.linalg.eigvalsh(rho).min(axis=-1)
+    return (herm, trace, neg), (herm <= DEFAULT_ATOL, trace <= DEFAULT_ATOL, neg <= DEFAULT_ATOL)
+
+
 def check_density_matrix(rho) -> np.ndarray:
     """Validate a density matrix (Hermitian, unit trace, positive semidefinite).
 
-    Each property is checked to ``DEFAULT_ATOL``.  Returns the coerced array
-    on success, raises InvariantViolation on the first failed property.
+    Each property is checked by :func:`state_defects`.  Returns the coerced
+    array on success, raises InvariantViolation on the first failed property.
     """
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got {rho.shape}")
-    herm_defect = max_abs(rho - rho.conj().T)
-    if herm_defect > DEFAULT_ATOL:
+    (herm_defect, _, neg), (hermitian, unit_trace, psd) = state_defects(rho)
+    if not hermitian:
         raise InvariantViolation(
             f"state is not Hermitian: defect {herm_defect:.3e} > {DEFAULT_ATOL:.1e}"
         )
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > DEFAULT_ATOL:
+    if not unit_trace:
         raise InvariantViolation(
-            f"state trace {tr} deviates from 1 by more than {DEFAULT_ATOL:.1e}"
+            f"state trace {np.trace(rho)} deviates from 1 by more than {DEFAULT_ATOL:.1e}"
         )
-    smallest = np.linalg.eigvalsh(rho).min()
-    if smallest < -DEFAULT_ATOL:
+    if not psd:
         raise InvariantViolation(
-            f"state is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
+            f"state is not positive semidefinite: smallest eigenvalue {-neg:.3e}"
         )
     return rho

@@ -10,6 +10,7 @@ That failure is a finding, not a bug; see the check's docstring.
 """
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -75,6 +76,37 @@ def test_channel_soundness_holds_for_other_seeds():
         res = verify.check_channel_soundness(seed=seed)
         print(res.line())
         assert res.passed
+
+
+def test_random_draws_are_seeded_valid_states():
+    params, rho = verify._random_draws(random.Random(7), 20)
+    again, rho_again = verify._random_draws(random.Random(7), 20)
+    other, rho_other = verify._random_draws(random.Random(8), 20)
+    assert np.array_equal(params.p, again.p) and np.array_equal(params.mu, again.mu)
+    assert np.array_equal(rho, rho_again)
+    assert not np.any(params.p == other.p) and not np.any(np.all(rho == rho_other, axis=(1, 2)))
+    assert params.p.shape == params.mu.shape == (20,) and rho.shape == (20, 8, 8)
+    for x in (params.p, params.mu):
+        assert np.all((0.0 <= x) & (x < 1.0))
+    assert np.abs(rho - rho.conj().swapaxes(1, 2)).max() <= 1e-15
+    np.testing.assert_allclose(np.trace(rho, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-14)
+    assert min(np.linalg.eigvalsh(state).min() for state in rho) >= -1e-14
+
+
+def test_channel_soundness_counts_each_invalid_state(monkeypatch):
+    # one state of trace 2 (still Hermitian and positive) in each batch of 20
+    original = verify._random_draws
+
+    def doubled(rng, count):
+        params, rho = original(rng, count)
+        rho[3] *= 2
+        return params, rho
+
+    monkeypatch.setattr(verify, "_random_draws", doubled)
+    res = verify.check_channel_soundness(seed=0)
+    print(res.line())
+    assert not res.passed
+    assert "M o rho a valid state in 95/100 random states" in res.details
 
 
 GRID = np.linspace(0.0, 1.0, 21)

@@ -398,11 +398,12 @@ def test_help_available(capsys, cmd):
     assert "default" in out
 
 
-def run_process(argv, stdout):
-    """Run ``python -m qpd3.cli`` in a child process against this checkout's package."""
+def run_process(argv, stdout, entry=("-m", "qpd3.cli")):
+    """Run ``python -m qpd3.cli`` (or another ``entry``) in a child process against this
+    checkout's package."""
     src = str(Path(qpd3.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "qpd3.cli", *argv], stdout=stdout,
+    return subprocess.run([sys.executable, *entry, *argv], stdout=stdout,
                           stderr=subprocess.PIPE, env=env, timeout=120)
 
 
@@ -410,6 +411,27 @@ def test_process_entry_point():
     proc = run_process(["payoff", "--p", "0.3", "--mu", "0.5"], subprocess.PIPE)
     assert proc.returncode == 0 and proc.stderr == b""
     assert set(json.loads(proc.stdout)) >= {"payoff_A", "outcome_probabilities"}
+
+
+#: Runs ``qpd3.cli.main`` on its arguments, then reports on stderr whether
+#: ``numpy.random`` was ever imported, and exits with main's code.
+FOOTPRINT_ENTRY = ("-c", "import sys\nfrom qpd3.cli import main\ncode = main(sys.argv[1:])\n"
+                   "print('numpy.random' in sys.modules, file=sys.stderr)\nsys.exit(code)")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["payoff"], 0),
+    (["sweep", "--var", "p", "--grid", "0:1:3"], 0),
+    (["surface", "--res", "3"], 0),
+    (["best-response", "--player", "alice", "--claimed", "pi/2,pi/2,0", "--res", "3"], 0),
+    (["nash-check", "--res", "3"], 0),
+    (["verify", "--report", "{tmp}/report.json"], 1),
+], ids=["payoff", "sweep", "surface", "best-response", "nash-check", "verify"])
+def test_no_command_imports_numpy_random(tmp_path, argv, code):
+    # A fresh process: pytest and hypothesis import numpy.random in this one.
+    proc = run_process([a.format(tmp=tmp_path) for a in argv], subprocess.PIPE, FOOTPRINT_ENTRY)
+    assert proc.returncode == code
+    assert proc.stdout and proc.stderr == b"False\n"
 
 
 @pytest.mark.parametrize("argv", [["payoff"], ["sweep", "--preset", "fig2"]])

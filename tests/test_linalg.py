@@ -9,6 +9,7 @@ from qpd3.linalg import (
     InvariantViolation,
     as_complex_matrix,
     check_density_matrix,
+    state_defects,
 )
 
 
@@ -49,12 +50,17 @@ def test_check_density_matrix_rejects_negative_minor():
         check_density_matrix(bad)
 
 
-def test_check_density_matrix_rejects_negative_eigenvalue_with_positive_minors():
-    # ((1+a)I - aJ)/3 on three levels: every diagonal entry and every 2x2
-    # principal minor is positive, but the eigenvalue (1-2a)/3 is not.
-    a = 0.9
+def negative_eigenvalue_state(a=0.9):
+    """((1+a)I - aJ)/3 on three levels: every diagonal entry and every 2x2
+    principal minor is positive, but the eigenvalue (1-2a)/3 is not."""
     rho = np.zeros((8, 8), dtype=complex)
     rho[:3, :3] = ((1 + a) * np.eye(3) - a * np.ones((3, 3))) / 3
+    return rho
+
+
+def test_check_density_matrix_rejects_negative_eigenvalue_with_positive_minors():
+    a = 0.9
+    rho = negative_eigenvalue_state(a)
     assert np.linalg.eigvalsh(rho).min() == pytest.approx((1 - 2 * a) / 3)
     with pytest.raises(InvariantViolation, match="positive semidefinite"):
         check_density_matrix(rho)
@@ -67,3 +73,57 @@ def test_check_density_matrix_rejects_bad_states():
         check_density_matrix(np.eye(2, dtype=complex))  # trace 2
     ok = np.diag([0.25, 0.75]).astype(complex)
     np.testing.assert_allclose(check_density_matrix(ok), ok)
+
+
+def valid_stack(count=20, seed=5):
+    """``count`` random mixed 8x8 states."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(count, 3, 8)) + 1j * rng.normal(size=(count, 3, 8))
+    vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+    weights = rng.dirichlet(np.ones(3), size=count)
+    return np.einsum("nk,nki,nkj->nij", weights, vecs, vecs.conj())
+
+
+def not_hermitian(rho):
+    # upper triangle only: eigvalsh reads the lower one, so the spectrum is unchanged
+    bad = rho.copy()
+    bad[0, 1] += 1e-3
+    return bad
+
+
+#: property index -> a state failing that property alone
+BAD_STATES = {
+    0: not_hermitian,
+    1: lambda rho: 1.01 * rho,  # still Hermitian and positive
+    2: lambda rho: negative_eigenvalue_state(),  # Hermitian, unit trace
+}
+
+
+@pytest.mark.parametrize("prop", sorted(BAD_STATES), ids=["hermitian", "trace", "psd"])
+def test_state_defects_flags_one_bad_state_in_a_stack(prop):
+    stack = valid_stack()
+    stack[7] = BAD_STATES[prop](stack[7])
+    defects, valid = state_defects(stack)
+    for k in range(3):
+        assert defects[k].shape == valid[k].shape == (20,)
+        want = [7] if k == prop else []
+        assert np.flatnonzero(~valid[k]).tolist() == want
+    assert np.flatnonzero(~np.all(valid, axis=0)).tolist() == [7]
+    # each state of the stack as check_density_matrix judges it alone
+    for i, state in enumerate(stack):
+        if i == 7:
+            with pytest.raises(InvariantViolation):
+                check_density_matrix(state)
+        else:
+            check_density_matrix(state)
+
+
+def test_state_defects_values():
+    stack = valid_stack(3)
+    stack[1] = negative_eigenvalue_state()
+    stack[2] *= 1.5
+    (herm, trace, neg), valid = state_defects(stack)
+    assert max(herm[0], trace[0], neg[0]) <= 1e-15
+    assert neg[1] == pytest.approx(-(1 - 2 * 0.9) / 3)
+    assert trace[2] == pytest.approx(0.5)
+    assert np.all(valid, axis=0).tolist() == [True, False, False]
