@@ -71,16 +71,13 @@ def sweep(base: GameConfig, variable: str, grid) -> list[tuple[float, float, flo
     """
     if variable not in ("p", "mu"):
         raise ValueError(f"unknown sweep variable {variable!r}")
-    # Passages that agree share one ChannelParams: each construction is validated.
     one, two = base.passage1, base.passage2
     rows = []
     for x in _checked_grid(grid, variable):
         if variable == "p":
-            pass1 = ChannelParams(x, one.mu)
-            pass2 = pass1 if two.mu == one.mu else ChannelParams(x, two.mu)
+            pass1, pass2 = ChannelParams(x, one.mu), ChannelParams(x, two.mu)
         else:
-            pass1 = ChannelParams(one.p, x)
-            pass2 = pass1 if two.p == one.p else ChannelParams(two.p, x)
+            pass1, pass2 = ChannelParams(one.p, x), ChannelParams(two.p, x)
         cfg = GameConfig(base.gamma, base.delta, pass1, pass2, base.strategies, base.payoffs)
         pay = PreparedGame(cfg).payoffs(cfg.strategies)
         rows.append((x, pay[0], pay[1], pay[2]))

@@ -20,6 +20,7 @@ import sys
 from . import analysis, presets, verify
 from .channel import ChannelParams
 from .game import (
+    COOPERATE,
     PLAYER_NAMES,
     GameConfig,
     PayoffTable,
@@ -110,16 +111,6 @@ def parse_player_strategy(text: str) -> tuple[str, StrategyParams]:
     return key.upper(), parse_triple(rest)
 
 
-_PRESETS = {
-    # sweep presets: (swept variable, fixed p, fixed mu)
-    "fig2": ("p", None, 0.0),
-    "fig3": ("mu", 0.3, None),
-    # surface presets: (p, mu)
-    "fig4": (0.3, 0.3),
-    "fig5": (0.7, 0.7),
-}
-
-
 def _add_game_flags(parser: argparse.ArgumentParser,
                     strategy_default: str = "all cooperate, i.e. 0,0,0"):
     g = parser.add_argument_group("game parameters")
@@ -155,20 +146,16 @@ def _load_table(args) -> PayoffTable:
         raise ValueError(f"cannot load payoff table {args.table!r}: {exc}") from exc
 
 
-def _strategies_from(args, default=None):
-    strategies = dict(zip("ABC", default or (StrategyParams(0, 0, 0),) * 3))
+def _config_from(args, strategies=None, p=None, mu=None) -> GameConfig:
+    """The flags' game over the command's defaults (None: all cooperate, p = mu = 0)."""
     given = [key for key, _ in args.strategy or []]
     for key in "ABC":
         if given.count(key) > 1:
             raise ValueError(f"--strategy {key}:... is given more than once; "
                              "each player takes one strategy")
-    strategies.update(args.strategy or [])
-    return (strategies["A"], strategies["B"], strategies["C"])
-
-
-def _config_from(args, default_strategies=None) -> GameConfig:
-    p = args.p if args.p is not None else 0.0
-    mu = args.mu if args.mu is not None else 0.0
+    profile = dict(zip("ABC", strategies or (COOPERATE,) * 3), **dict(args.strategy or []))
+    p = args.p if args.p is not None else p or 0.0
+    mu = args.mu if args.mu is not None else mu or 0.0
     p2 = p if args.p2 is None else args.p2
     mu2 = mu if args.mu2 is None else args.mu2
     return GameConfig(
@@ -176,7 +163,7 @@ def _config_from(args, default_strategies=None) -> GameConfig:
         delta=args.delta,
         passage1=ChannelParams(p, mu),
         passage2=ChannelParams(p2, mu2),
-        strategies=_strategies_from(args, default_strategies),
+        strategies=tuple(profile.values()),
         payoffs=_load_table(args),
     )
 
@@ -213,30 +200,23 @@ def cmd_payoff(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    var, fixed_p, fixed_mu = _PRESETS[args.preset] if args.preset else (None, None, None)
-    args.var = args.var or var
-    if args.var is None:
+    var, p, mu, strategies = presets.FIGURES.get(args.preset, (None,) * 4)
+    var = args.var or var
+    if var is None:
         raise ValueError("--var is required (p or mu) unless a sweep preset is given")
-    for flag in (args.var, args.var + "2"):
+    for flag in (var, var + "2"):
         if getattr(args, flag) is not None:
-            raise ValueError(f"--{flag} has no effect with --var {args.var}: "
-                             f"the sweep sets {args.var} in both passages")
-    args.p = fixed_p if args.p is None else args.p
-    args.mu = fixed_mu if args.mu is None else args.mu
-    default_strategies = presets.SWEEP_PROFILE if args.preset else None
-    rows = analysis.sweep(_config_from(args, default_strategies), args.var, args.grid)
+            raise ValueError(f"--{flag} has no effect with --var {var}: "
+                             f"the sweep sets {var} in both passages")
+    rows = analysis.sweep(_config_from(args, strategies, p, mu), var, args.grid)
     _write_csv(args.out, "x,payoff_A,payoff_B,payoff_C", rows)
     return 0
 
 
 def cmd_surface(args) -> int:
-    if args.preset:
-        p, mu = _PRESETS[args.preset]
-        if args.p is None:
-            args.p = p
-        if args.mu is None:
-            args.mu = mu
-    cfg = _config_from(args, presets.SURFACE_PROFILE)
+    _, p, mu, strategies = presets.FIGURES.get(
+        args.preset, (None, None, None, presets.SURFACE_PROFILE))
+    cfg = _config_from(args, strategies, p, mu)
     alphas, thetas, values = analysis.strategy_surface(cfg, args.res)
     rows = ((a, t, values[i, j]) for i, a in enumerate(alphas) for j, t in enumerate(thetas))
     _write_csv(args.out, "alpha1,theta1,payoff_A", rows)
@@ -249,8 +229,9 @@ def cmd_best_response(args) -> int:
     if any(k == key for k, _ in args.strategy or []):
         raise ValueError(f"--strategy {key}:... has no effect with --player {args.player}: "
                          "--claimed sets that player's strategy")
-    args.strategy = (args.strategy or []) + [(key, args.claimed)]
-    print(json.dumps(analysis.best_response(_config_from(args), idx, args.res), indent=2))
+    strategies = tuple(args.claimed if q == idx else COOPERATE for q in range(3))
+    cfg = _config_from(args, strategies)
+    print(json.dumps(analysis.best_response(cfg, idx, args.res), indent=2))
     return 0
 
 

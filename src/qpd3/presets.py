@@ -1,5 +1,6 @@
-"""Canned game configurations used by the sweeps, surfaces and the CLI presets.
+"""Canned game configurations: the paper's figures, their profiles and games.
 
+:data:`FIGURES` is the one definition of the CLI presets ``fig2``-``fig5``.
 Two strategy profiles, both played in a maximally entangled game
 (gamma = delta = pi/2) built by :func:`entangled_config`:
 
@@ -27,6 +28,15 @@ SWEEP_PROFILE = (
 
 #: Strategies for the Alice (alpha1, theta1) surface scan.
 SURFACE_PROFILE = (StrategyParams(HALF_PI, 0.0, 0.0),) * 3
+
+#: figure -> (swept variable or None, p, mu, default profile): sweeps fig2 and
+#: fig3 leave the swept value None, surfaces fig4 and fig5 sweep nothing.
+FIGURES = {
+    "fig2": ("p", None, 0.0, SWEEP_PROFILE),
+    "fig3": ("mu", 0.3, None, SWEEP_PROFILE),
+    "fig4": (None, 0.3, 0.3, SURFACE_PROFILE),
+    "fig5": (None, 0.7, 0.7, SURFACE_PROFILE),
+}
 
 
 def entangled_config(p: float, mu: float, strategies) -> GameConfig:

@@ -31,14 +31,12 @@ from .game import (
     COOPERATE,
     DEFECT,
     OUTCOMES,
-    GameConfig,
     closed_form_payoffs,
     measurement_projectors,
     pipeline_payoffs,
 )
 from .linalg import max_abs, state_defects
-
-HALF_PI = math.pi / 2
+from .presets import HALF_PI
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,9 @@ def check_classical_limit() -> CheckResult:
 
 def check_entangled_anchors() -> CheckResult:
     """Maximally entangled noiseless all-C -> (3,3,3) and all-D -> (1,1,1)."""
-    off = ChannelParams(0.0, 0.0)
     worst = 0.0
     for strat, want in (((COOPERATE,) * 3, (3.0, 3.0, 3.0)), ((DEFECT,) * 3, (1.0, 1.0, 1.0))):
-        cfg = GameConfig(HALF_PI, HALF_PI, off, off, strat)
+        cfg = presets.entangled_config(0.0, 0.0, strat)
         got = pipeline_payoffs(cfg)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
     return CheckResult(
@@ -257,37 +254,32 @@ def check_classical_nash() -> CheckResult:
     )
 
 
-def check_closed_form(report_path: Path | None) -> CheckResult:
+def check_closed_form(report_path: Path) -> CheckResult:
     """Closed form matches the pipeline at the four analytic anchors.
 
     Also evaluates the sweep profile at p = mu = 0.5 and persists the full
     discrepancy report; agreement there is reported, not asserted.
     """
-    off = ChannelParams(0.0, 0.0)
     anchors = [
         presets.classical_config((COOPERATE,) * 3),
         presets.classical_config((DEFECT,) * 3),
-        GameConfig(HALF_PI, HALF_PI, off, off, (COOPERATE,) * 3),
-        GameConfig(HALF_PI, HALF_PI, off, off, (DEFECT,) * 3),
+        presets.entangled_config(0.0, 0.0, (COOPERATE,) * 3),
+        presets.entangled_config(0.0, 0.0, (DEFECT,) * 3),
     ]
     worst = max(
         closed_form_payoffs(cfg, pipeline_payoffs(cfg))["max_abs_discrepancy"] for cfg in anchors
     )
     half = presets.entangled_config(0.5, 0.5, presets.SWEEP_PROFILE)
     report = closed_form_payoffs(half, pipeline_payoffs(half))
-    persisted = "not persisted"
-    if report_path is not None:
-        report_path = Path(report_path)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report["config"] = "sweep profile, gamma=delta=pi/2, p=mu=0.5"
-        report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        persisted = f"report written to {report_path}"
+    report["config"] = "sweep profile, gamma=delta=pi/2, p=mu=0.5"
+    Path(report_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return CheckResult(
         "closed_form_agreement",
         worst <= 1e-9,
         f"max anchor discrepancy = {worst:.3e}",
         "1e-9",
-        f"p=mu=0.5 sweep-profile discrepancy {report['max_abs_discrepancy']:.3e} ({persisted})",
+        f"p=mu=0.5 sweep-profile discrepancy {report['max_abs_discrepancy']:.3e} "
+        f"(report written to {report_path})",
     )
 
 
@@ -305,11 +297,11 @@ def check_projector_soundness() -> CheckResult:
     )
 
 
-def run_all(seed: int = 0, report_path: Path | None = None) -> list[CheckResult]:
-    """Run every acceptance check in order; an unwritable ``report_path`` fails before any."""
-    if report_path is not None:
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        open(report_path, "a", encoding="utf-8").close()
+def run_all(seed: int, report_path: Path) -> list[CheckResult]:
+    """Run every acceptance check in order; ``report_path`` takes the closed-form report
+    and is opened first, so an unwritable path fails before any check runs."""
+    Path(report_path).parent.mkdir(parents=True, exist_ok=True)
+    open(report_path, "a", encoding="utf-8").close()
     return [
         check_classical_limit(),
         check_entangled_anchors(),

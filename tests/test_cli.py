@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import copy
 import json
 import math
 import os
@@ -258,6 +259,21 @@ def test_strategy_help_states_each_commands_default(capsys, cmd, default):
     assert code == 0
     assert f"(default: {default})" in " ".join(out.split())
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", "fig3", "--p", "0.7"],
+    ["surface", "--preset", "fig4"],
+    ["best-response", "--player", "bob", "--claimed", "1,0.5,0", "--res", "3",
+     "--strategy", "A:pi/2,0,0"],
+], ids=["sweep-fig3", "surface-fig4", "best-response"])
+def test_commands_leave_args_alone(capsys, argv):
+    # presets and --claimed are command defaults, not rewritten flags
+    args = cli.build_parser().parse_args(argv)
+    before = copy.deepcopy(vars(args))
+    assert args.func(args) == 0
+    capsys.readouterr()
+    assert vars(args) == before
 
 def test_best_response_json(capsys):
     code, out, _ = run_cli(
