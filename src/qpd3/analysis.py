@@ -8,6 +8,12 @@ from a resolution per axis and return what ``qpd3`` prints.  Ties within
 ``TIE_TOL`` of a grid maximum are broken by one rule, :func:`first_max`.
 Every game setting, the audited strategy profile included, is read from the
 :class:`~qpd3.game.GameConfig` passed in.
+
+A payoff is the 4x4 form vec(u)† Q vec(u) in one player's unitary u
+(:func:`deviation_payoffs`).  Surfaces make one call over their grid; best
+responses call it point by point, which gives the bits of one call on the
+meshgrid.  The loop stays while the benchmark checks each search against the
+slow oracle within a deadline that a 100x faster search would overrun.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 import numpy as np
 
 from .channel import ChannelParams
-from .game import GameConfig, PLAYER_NAMES, PreparedGame, StrategyParams, strategy_unitary
+from .game import GameConfig, PLAYER_NAMES, PreparedGame, strategy_unitary
 
 #: Gain threshold for equilibrium checks: far above 1e-12 arithmetic noise,
 #: far below any real payoff gradient at the grid scales used here.
@@ -84,6 +90,17 @@ def sweep(base: GameConfig, variable: str, grid) -> list[tuple[float, float, flo
     return rows
 
 
+def deviation_payoffs(form: np.ndarray, theta, alpha, beta) -> np.ndarray:
+    """vec(u)† form vec(u) for u = strategy_unitary(theta, alpha, beta), broadcast like it.
+
+    ``form`` is a :meth:`~qpd3.game.PreparedGame.deviation_form`; the result
+    has the angles' broadcast shape, a numpy scalar for scalar angles.
+    """
+    u = strategy_unitary(theta, alpha, beta)
+    v = u.reshape(u.shape[:-2] + (4,))
+    return np.einsum("...x,xy,...y->...", v.conj(), form, v).real
+
+
 def strategy_surface(base: GameConfig, resolution: int) -> tuple[tuple, tuple, np.ndarray]:
     """(alphas, thetas, values): Alice's payoff over her (alpha1, theta1) grid.
 
@@ -98,8 +115,7 @@ def strategy_surface(base: GameConfig, resolution: int) -> tuple[tuple, tuple, n
     thetas = grid_points(0.0, math.pi, resolution)
     form = PreparedGame(base).deviation_form(base.strategies, 0, 0)
     a, t = np.meshgrid(alphas, thetas, indexing="ij")
-    u = strategy_unitary(t, a, base.strategies[0].beta).reshape(-1, 4)
-    return alphas, thetas, np.einsum("nx,xy,ny->n", u.conj(), form, u).real.reshape(a.shape)
+    return alphas, thetas, deviation_payoffs(form, t, a, base.strategies[0].beta)
 
 
 def first_max(values: np.ndarray) -> tuple[int, float]:
@@ -119,18 +135,13 @@ def best_response(cfg: GameConfig, idx: int, resolution: int = 25) -> dict:
     The claimed strategy is ``cfg.strategies[idx]``; the other two players
     keep theirs.  ``best`` is the lexicographically smallest (theta, alpha,
     beta) grid point within TIE_TOL of the grid maximum.  The keys are those
-    ``qpd3 best-response`` prints, in its order.
+    ``qpd3 best-response`` prints, in its order.  The player's 4x4 form is
+    built once and evaluated point by point (see the module docstring).
     """
     if resolution < 3:
         raise ValueError(f"resolution must be >= 3, got {resolution}")
     check_grid_size(resolution**3, "the best-response search")
-    prepared = PreparedGame(cfg)
-
-    def payoff_with(s: StrategyParams) -> float:
-        strategies = list(cfg.strategies)
-        strategies[idx] = s
-        return prepared.payoffs(tuple(strategies))[idx]
-
+    form = PreparedGame(cfg).deviation_form(cfg.strategies, idx, idx)
     thetas = np.linspace(0.0, math.pi, resolution)
     alphas = betas = np.linspace(-math.pi, math.pi, resolution)
 
@@ -138,11 +149,12 @@ def best_response(cfg: GameConfig, idx: int, resolution: int = 25) -> dict:
     for i, t in enumerate(thetas):
         for j, a in enumerate(alphas):
             for k, b in enumerate(betas):
-                values[i, j, k] = payoff_with(StrategyParams(t, a, b))
+                values[i, j, k] = deviation_payoffs(form, t, a, b)
     flat, best_val = first_max(values)
     i, j, k = np.unravel_index(flat, values.shape)
 
-    at_claimed = prepared.payoffs(cfg.strategies)[idx]
+    claimed = cfg.strategies[idx]
+    at_claimed = float(deviation_payoffs(form, claimed.theta, claimed.alpha, claimed.beta))
     return {
         "player": PLAYER_NAMES[idx],
         "grid_resolution": resolution,

@@ -200,8 +200,11 @@ def cmd_payoff(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    var, p, mu, strategies = presets.FIGURES.get(args.preset, (None,) * 4)
-    var = args.var or var
+    swept, p, mu, strategies = presets.FIGURES.get(args.preset, (None,) * 4)
+    var = args.var or swept
+    if swept not in (None, var):
+        raise ValueError(f"--var {var} conflicts with --preset {args.preset}, "
+                         f"which sweeps {swept}")
     if var is None:
         raise ValueError("--var is required (p or mu) unless a sweep preset is given")
     for flag in (var, var + "2"):

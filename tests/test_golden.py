@@ -150,13 +150,17 @@ REFUSAL_GOLDEN = [
     (["surface", "--res", "0"], "caa49a86563894a2cf489d2efa7119c62aebd743aeb63d4f80436f8fee615576"),
     (["verify", "--seed", "-1"], "084fdac86497d4c84da1721a3f69cc85078b94fc00dd422150c1a0a69081e176"),
     (["payoff", "--gamma", "pi"], "1cf556712358bf1371350df0c202da422d5942002ffe3692a40b658a2c21f7ca"),
+    (["sweep", "--preset", "fig3", "--var", "p"],
+     "273eea4d1faa3e99bac7ec9f05f7fd72f549780825557945d6109a99aa811925"),
+    (["sweep", "--preset", "fig2", "--var", "mu"],
+     "fc388ccc64f0468b203d75cdaab1ed8f81438a42bea9add2d4f33b9680799930"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", REFUSAL_GOLDEN, ids=[
     "sweep-no-var", "p-sweep-p", "fig3-mu2", "fig2-p", "duplicate-strategy",
     "best-response-strategy", "p-out-of-range", "p-not-a-number", "surface-res0",
-    "negative-seed", "gamma-out-of-range",
+    "negative-seed", "gamma-out-of-range", "fig3-var-p", "fig2-var-mu",
 ])
 def test_refusal_is_byte_identical(capsys, monkeypatch, tmp_path, argv, digest):
     # argparse's usage line in the message is wrapped to COLUMNS
@@ -179,7 +183,7 @@ OVERRIDE_GOLDEN = [
      "9e8b653aa28ff9d92486b9fec2a361353a8a3e7c15f461de881fdc497c8f452d"),
     (["best-response", "--player", "bob", "--claimed", "1,0.5,0", "--res", "5", "--p", "0.3",
       "--strategy", "A:pi/2,0,0"],
-     "eabc4af95ab265c355aa69123049bb8ef5e867b6af7402fcc7b8b37dd2c3aedc"),
+     "833797af93200efa2fb5d5215c7a1da6b6c2a3063fda99ecb27caee885162d94"),
 ]
 
 

@@ -1,18 +1,29 @@
 """Differential tests of the evaluation kernel: dephasing mask, coherence
-kernel, per-player observables and the one-player quadratic form, against the
-Kraus-operator definition of the channel and the loop-based reference in
-oracle.py."""
+kernel, per-player observables, the one-player quadratic form and the
+best-response search built on it, against the Kraus-operator definition of
+the channel and the loop-based reference in oracle.py."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import oracle
-from qpd3.analysis import grid_points, strategy_surface
+from qpd3 import analysis
+from qpd3.analysis import (
+    best_response,
+    deviation_payoffs,
+    first_max,
+    grid_points,
+    strategy_surface,
+)
 from qpd3.channel import ChannelParams, correlated_triple, dephasing_mask, kraus_sum
 from qpd3.game import (
+    OUTCOMES,
     GameConfig,
+    PayoffTable,
     PreparedGame,
     StrategyParams,
     _coherence_kernel,
@@ -49,11 +60,23 @@ def random_config(seed):
     )
 
 
+def random_table(seed):
+    """A payoff table with entries drawn from [0, 7.5]."""
+    rng = np.random.default_rng(seed)
+    return PayoffTable({label: rng.uniform(0.0, 7.5, size=3).tolist() for label in OUTCOMES})
+
+
 def oracle_payoffs(cfg, strategies):
+    table = dict(zip(OUTCOMES, map(tuple, cfg.payoffs.as_array().tolist())))
     return oracle.payoffs(
         cfg.gamma, cfg.delta, cfg.passage1.p, cfg.passage1.mu, cfg.passage2.p, cfg.passage2.mu,
-        [(s.theta, s.alpha, s.beta) for s in strategies],
+        [(s.theta, s.alpha, s.beta) for s in strategies], table,
     )
+
+
+def with_deviation(strategies, idx, deviation):
+    """``strategies`` with the entry at ``idx`` replaced by ``deviation``."""
+    return tuple(deviation if q == idx else s for q, s in enumerate(strategies))
 
 
 SEEDS = (11, 12, 13)
@@ -99,9 +122,7 @@ def test_deviation_form_matches_oracle(seed):
     rng = np.random.default_rng(seed + 100)
     for idx in range(3):
         deviation = random_strategy(rng)
-        strategies = list(cfg.strategies)
-        strategies[idx] = deviation
-        want = oracle_payoffs(cfg, strategies)
+        want = oracle_payoffs(cfg, with_deviation(cfg.strategies, idx, deviation))
         v = strategy_unitary(deviation.theta, deviation.alpha, deviation.beta).reshape(4)
         for k in range(3):
             form = prepared.deviation_form(cfg.strategies, idx, k)
@@ -123,3 +144,54 @@ def test_surface_rows_match_oracle(seed):
             alice = StrategyParams(t, a, beta1)
             want = oracle_payoffs(cfg, (alice,) + cfg.strategies[1:])
             assert values[i, j] == pytest.approx(want[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("table", ["default", "random"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_best_response_matches_full_evaluation_and_oracle(monkeypatch, seed, table):
+    cfg = random_config(seed)
+    if table == "random":
+        cfg = dataclasses.replace(cfg, payoffs=random_table(seed + 200))
+    prepared = PreparedGame(cfg)
+    searched = []
+
+    def recording_first_max(values):
+        searched.append(values)
+        return first_max(values)
+
+    monkeypatch.setattr(analysis, "first_max", recording_first_max)
+    thetas = grid_points(0.0, math.pi, 5)
+    angles = grid_points(-math.pi, math.pi, 5)
+    for idx in range(3):
+        res = best_response(cfg, idx, resolution=5)
+        full = np.empty((5, 5, 5))
+        for (i, t), (j, a), (k, b) in itertools.product(
+                enumerate(thetas), enumerate(angles), enumerate(angles)):
+            deviation = StrategyParams(t, a, b)
+            full[i, j, k] = prepared.payoffs(with_deviation(cfg.strategies, idx, deviation))[idx]
+        np.testing.assert_allclose(searched[-1], full, rtol=0, atol=1e-12)
+        flat, best = first_max(full)
+        i, j, k = np.unravel_index(flat, full.shape)
+        assert res["best"] == [thetas[i], angles[j], angles[k]]
+        assert res["best_payoff"] == pytest.approx(best, abs=1e-12)
+        at_best = with_deviation(cfg.strategies, idx, StrategyParams(*res["best"]))
+        assert res["best_payoff"] == pytest.approx(oracle_payoffs(cfg, at_best)[idx], abs=1e-12)
+        want = oracle_payoffs(cfg, cfg.strategies)[idx]
+        assert res["payoff_at_claimed"] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("resolution", [9, 25])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_deviation_payoffs_per_point_equal_batched_bitwise(seed, resolution):
+    # the search's loop can become one call on the meshgrid without moving an output bit
+    cfg = random_config(seed)
+    idx = seed % 3
+    form = PreparedGame(cfg).deviation_form(cfg.strategies, idx, idx)
+    thetas = np.linspace(0.0, math.pi, resolution)
+    angles = np.linspace(-math.pi, math.pi, resolution)
+    batched = deviation_payoffs(form, *np.meshgrid(thetas, angles, angles, indexing="ij"))
+    per_point = np.empty_like(batched)
+    for (i, t), (j, a), (k, b) in itertools.product(
+            enumerate(thetas), enumerate(angles), enumerate(angles)):
+        per_point[i, j, k] = deviation_payoffs(form, t, a, b)
+    assert np.array_equal(per_point, batched)
