@@ -9,11 +9,13 @@ from a resolution per axis and return what ``qpd3`` prints.  Ties within
 Every game setting, the audited strategy profile included, is read from the
 :class:`~qpd3.game.GameConfig` passed in.
 
-A payoff is the 4x4 form vec(u)† Q vec(u) in one player's unitary u
-(:func:`deviation_payoffs`).  Surfaces make one call over their grid; best
-responses call it point by point, which gives the bits of one call on the
-meshgrid.  The loop stays while the benchmark checks each search against the
-slow oracle within a deadline that a 100x faster search would overrun.
+A sweep point is one :func:`~qpd3.game.payoffs` call.  A search payoff is
+the 4x4 form vec(u)† Q vec(u) in one player's unitary u
+(:func:`deviation_payoffs`, Q from :func:`~qpd3.game.deviation_form`).
+Surfaces make one call over their grid; best responses call it point by
+point, which gives the bits of one call on the meshgrid.  The loop stays
+while the benchmark checks each search against the slow oracle within a
+deadline that a 100x faster search would overrun.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import numpy as np
 
 from .channel import ChannelParams
-from .game import GameConfig, PLAYER_NAMES, PreparedGame, strategy_unitary
+from .game import GameConfig, PLAYER_NAMES, deviation_form, payoffs, strategy_unitary
 
 #: Gain threshold for equilibrium checks: far above 1e-12 arithmetic noise,
 #: far below any real payoff gradient at the grid scales used here.
@@ -85,7 +87,7 @@ def sweep(base: GameConfig, variable: str, grid) -> list[tuple[float, float, flo
         else:
             pass1, pass2 = ChannelParams(one.p, x), ChannelParams(two.p, x)
         cfg = GameConfig(base.gamma, base.delta, pass1, pass2, base.strategies, base.payoffs)
-        pay = PreparedGame(cfg).payoffs(cfg.strategies)
+        pay = payoffs(cfg)
         rows.append((x, pay[0], pay[1], pay[2]))
     return rows
 
@@ -93,7 +95,7 @@ def sweep(base: GameConfig, variable: str, grid) -> list[tuple[float, float, flo
 def deviation_payoffs(form: np.ndarray, theta, alpha, beta) -> np.ndarray:
     """vec(u)† form vec(u) for u = strategy_unitary(theta, alpha, beta), broadcast like it.
 
-    ``form`` is a :meth:`~qpd3.game.PreparedGame.deviation_form`; the result
+    ``form`` is a :func:`~qpd3.game.deviation_form`; the result
     has the angles' broadcast shape, a numpy scalar for scalar angles.
     """
     u = strategy_unitary(theta, alpha, beta)
@@ -113,7 +115,7 @@ def strategy_surface(base: GameConfig, resolution: int) -> tuple[tuple, tuple, n
     check_grid_size(resolution**2, "the surface")
     alphas = grid_points(-math.pi, math.pi, resolution)
     thetas = grid_points(0.0, math.pi, resolution)
-    form = PreparedGame(base).deviation_form(base.strategies, 0, 0)
+    form = deviation_form(base, 0)
     a, t = np.meshgrid(alphas, thetas, indexing="ij")
     return alphas, thetas, deviation_payoffs(form, t, a, base.strategies[0].beta)
 
@@ -141,7 +143,7 @@ def best_response(cfg: GameConfig, idx: int, resolution: int = 25) -> dict:
     if resolution < 3:
         raise ValueError(f"resolution must be >= 3, got {resolution}")
     check_grid_size(resolution**3, "the best-response search")
-    form = PreparedGame(cfg).deviation_form(cfg.strategies, idx, idx)
+    form = deviation_form(cfg, idx)
     thetas = np.linspace(0.0, math.pi, resolution)
     alphas = betas = np.linspace(-math.pi, math.pi, resolution)
 

@@ -94,7 +94,7 @@ def mu_p_factor(params: ChannelParams) -> float | np.ndarray:
     Literal polynomial
         (1 - p)(1 - 2p + 4 mu p - 2 mu^2 p + p^2 - 2 mu p^2 + mu^2 p^2);
     equals every anti-diagonal entry M[x, 7 - x] of M = dephasing_mask(params),
-    which the kernel of :class:`qpd3.game.PreparedGame` relies on.
+    which the fast path (``game.payoffs``, ``game.deviation_form``) relies on.
     Limits: 1 at p=0, (1-p)^3 at mu=0, (1-p) at mu=1.
     """
     p, mu = params.p, params.mu

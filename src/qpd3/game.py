@@ -197,17 +197,6 @@ def strategy_unitary(theta, alpha, beta) -> np.ndarray:
     return u
 
 
-def _profile_unitaries(strategies) -> np.ndarray:
-    """(3, 2, 2) stack of the players' unitaries."""
-    return strategy_unitary(*np.array([(s.theta, s.alpha, s.beta) for s in strategies]).T)
-
-
-def _kron3(u: np.ndarray) -> np.ndarray:
-    """u[0] x u[1] x u[2] for a (3, 2, 2) stack (the 8x8 profile unitary)."""
-    ab = (u[0][:, None, :, None] * u[1][None, :, None, :]).reshape(4, 4)
-    return (ab[:, None, :, None] * u[2][None, :, None, :]).reshape(8, 8)
-
-
 @functools.lru_cache(maxsize=128)
 def measurement_projectors(delta: float) -> np.ndarray:
     """(8, 8, 8) stack of the rank-1 projectors onto the entangled measurement basis.
@@ -241,57 +230,49 @@ def _coherence_kernel(params: ChannelParams) -> np.ndarray:
 
 def conjugated(rho: np.ndarray, strategies) -> np.ndarray:
     """U rho U† for the profile unitary U = u_A x u_B x u_C of ``strategies``."""
-    u = _kron3(_profile_unitaries(strategies))
+    a, b, c = strategy_unitary(*np.array([(s.theta, s.alpha, s.beta) for s in strategies]).T)
+    ab = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    u = (ab[:, None, :, None] * c[None, :, None, :]).reshape(8, 8)
     return u @ rho @ u.conj().T
 
 
-#: Index letters per qubit for :meth:`PreparedGame.deviation_form`'s
-#: contraction Tr(W U rho U†) = sum W[d,a] U[a,b] rho[b,c] conj(U[d,c]).
-_D, _A, _B, _C = "abc", "def", "ghi", "jkl"
+def _state_and_observables(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(rho1, W): the once-dephased state and the (3, 8, 8) payoff observables.
 
-
-class PreparedGame:
-    """A game with everything but the strategies precomputed.
-
-    Used by parameter sweeps and strategy searches, which evaluate many
-    strategy profiles against fixed (gamma, delta, noise) settings.  rho_in and
-    every P_m occupy only the entries (x, x) and (x, 7 - x), where a passage's
-    mask equals K = I + mu_p_factor J, so rho1 = K1 o rho_in.  As K2 is real
-    and symmetric, Tr(P_m (K2 o rho)) = Tr((K2 o P_m) rho): the measurement,
-    the second passage and the payoff table fold into one observable per
-    player, W_k = sum_m table[m, k] (K2 o P_m), and a payoff is Tr(W_k U rho1 U†).
+    rho_in and every P_m occupy only the entries (x, x) and (x, 7 - x), where a
+    passage's mask equals K = I + mu_p_factor J, so rho1 = K1 o rho_in.  As K2
+    is real and symmetric, Tr(P_m (K2 o rho)) = Tr((K2 o P_m) rho): the
+    measurement, the second passage and the payoff table fold into one
+    observable per player, W_k = sum_m table[m, k] (K2 o P_m), and a payoff
+    is Tr(W_k U rho1 U†).
     """
+    rho1 = _coherence_kernel(cfg.passage1) * initial_state(cfg.gamma)
+    projectors = _coherence_kernel(cfg.passage2) * measurement_projectors(cfg.delta)
+    return rho1, np.einsum("mk,mxy->kxy", cfg.payoffs.as_array(), projectors)
 
-    def __init__(self, cfg: GameConfig):
-        self.rho1 = _coherence_kernel(cfg.passage1) * initial_state(cfg.gamma)
-        projectors = _coherence_kernel(cfg.passage2) * measurement_projectors(cfg.delta)
-        self.observables = np.einsum("mk,mxy->kxy", cfg.payoffs.as_array(), projectors)
 
-    def payoffs(self, strategies) -> tuple[float, float, float]:
-        pay = np.einsum("kxy,yx->k", self.observables, conjugated(self.rho1, strategies)).real
-        return (float(pay[0]), float(pay[1]), float(pay[2]))
+def payoffs(cfg: GameConfig) -> tuple[float, float, float]:
+    """Payoffs (Alice, Bob, Charlie) as Tr(W_k U rho1 U†); see :func:`_state_and_observables`."""
+    rho1, observables = _state_and_observables(cfg)
+    pay = np.einsum("kxy,yx->k", observables, conjugated(rho1, cfg.strategies)).real
+    return (float(pay[0]), float(pay[1]), float(pay[2]))
 
-    def deviation_form(self, strategies, idx: int, k: int) -> np.ndarray:
-        """4x4 Hermitian Q with payoff_k = vec(u)† Q vec(u) when player ``idx`` plays u.
 
-        The other two players keep their strategies from ``strategies``
-        (the entry at ``idx`` is ignored); vec(u) is u flattened row-major.
-        """
-        us = _profile_unitaries(strategies)
-        others = [q for q in range(3) if q != idx]
-        subscripts = ",".join(
-            [_D + _A, _B + _C]
-            + [_A[q] + _B[q] for q in others]
-            + [_D[q] + _C[q] for q in others]
-        ) + "->" + _D[idx] + _C[idx] + _A[idx] + _B[idx]
-        form = np.einsum(
-            subscripts,
-            self.observables[k].reshape((2,) * 6),
-            self.rho1.reshape((2,) * 6),
-            *(us[q] for q in others),
-            *(us[q].conj() for q in others),
-        )
-        return form.reshape(4, 4)
+def deviation_form(cfg: GameConfig, idx: int) -> np.ndarray:
+    """4x4 Hermitian Q with payoff_idx = vec(u)† Q vec(u) when player ``idx`` plays u.
+
+    The other two players keep their strategies from ``cfg`` (the entry at
+    ``idx`` is ignored); vec(u) is u flattened row-major.  With R = V rho1 V†,
+    V the profile with COOPERATE (the identity) in slot ``idx``, the payoff is
+    Tr(W_idx u R u†), so Q[dc, ab] = sum W_idx[do, ap] R[bp, co] over the
+    other two qubits o and p.
+    """
+    rho1, observables = _state_and_observables(cfg)
+    rest = conjugated(rho1, tuple(COOPERATE if q == idx else s
+                                  for q, s in enumerate(cfg.strategies)))
+    w, r = (np.moveaxis(x.reshape((2,) * 6), (idx, idx + 3), (0, 3)).reshape(2, 4, 2, 4)
+            for x in (observables[idx], rest))
+    return np.einsum("doap,bpco->dcab", w, r).reshape(4, 4)
 
 
 def outcome_probabilities(cfg: GameConfig) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for sweeps, surfaces, best responses and equilibrium checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from qpd3.analysis import (
     strategy_surface,
     sweep,
 )
-from qpd3.game import COOPERATE, DEFECT, PreparedGame, StrategyParams
+from qpd3.game import COOPERATE, DEFECT, StrategyParams, payoffs
 
 HPI = math.pi / 2
 
@@ -46,7 +47,7 @@ def test_sweep_and_surface_argument_checks():
     assert (alphas, thetas) == ((-math.pi,), (0.0,))
     assert values.shape == (1, 1)
     alice = StrategyParams(0.0, -math.pi, base.strategies[0].beta)
-    want = PreparedGame(base).payoffs((alice,) + base.strategies[1:])[0]
+    want = payoffs(dataclasses.replace(base, strategies=(alice,) + base.strategies[1:]))[0]
     assert values[0, 0] == pytest.approx(want, abs=1e-12)
 
 
@@ -103,11 +104,10 @@ def test_surface_grid_contract_and_order():
     assert thetas == grid_points(0, math.pi, 3)
     assert values.shape == (3, 3)
     # entry [i, j] is Alice's payoff at (alphas[i], thetas[j])
-    prepared = PreparedGame(cfg)
     for i, a in enumerate(alphas):
         for j, t in enumerate(thetas):
             alice = StrategyParams(t, a, cfg.strategies[0].beta)
-            want = prepared.payoffs((alice,) + cfg.strategies[1:])[0]
+            want = payoffs(dataclasses.replace(cfg, strategies=(alice,) + cfg.strategies[1:]))[0]
             assert values[i, j] == pytest.approx(want, abs=1e-12)
 
 

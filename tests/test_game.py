@@ -204,9 +204,14 @@ def test_each_path_runs_only_its_own_channel(monkeypatch):
     cfg = make_config(p1=0.4, mu1=0.7, p2=0.2, strategies=(COOPERATE, DEFECT, COOPERATE))
     with monkeypatch.context() as patch:
         patch.setattr(game, "dephasing_mask", refused)
-        fast = game.PreparedGame(cfg).payoffs(cfg.strategies)
-    monkeypatch.setattr(game, "PreparedGame", refused)
+        fast = game.payoffs(cfg)
+        forms = [game.deviation_form(cfg, idx) for idx in range(3)]
+    monkeypatch.setattr(game, "payoffs", refused)
+    monkeypatch.setattr(game, "deviation_form", refused)
     assert pipeline_payoffs(cfg) == pytest.approx(fast, abs=1e-12)
+    for idx, s in enumerate(cfg.strategies):
+        v = game.strategy_unitary(s.theta, s.alpha, s.beta).reshape(4)
+        assert (v.conj() @ forms[idx] @ v).real == pytest.approx(fast[idx], abs=1e-12)
 
 
 def test_negative_probability_is_a_violation(monkeypatch):

@@ -59,7 +59,7 @@ JSON_GOLDEN = [
       "--strategy", "B:pi,0,0", "--strategy", "C:pi,0,0", "--res", "5"],
      "9f811fb0e9871049002ae3f2969b5b5235727da04d669a66e399d350462401d3"),
     (["nash-check", "--res", "7"] + SPLIT + STRATEGIES,
-     "70f081315f51ef7d6d8f5409fc8f9f30d0680f3867740f5cb1e7eb2e0c2a4c20"),
+     "f83bdf09c5b36e954c86161b7c23f18c5fcc00edb7226412fc9e2995eaa8d2ec"),
     (["payoff"] + SPLIT + STRATEGIES,
      "2fcd6b7cc4e25e201a82f8c8f7f7128451449d54f599de283b9d09f80cc71465"),
 ]
@@ -183,7 +183,7 @@ OVERRIDE_GOLDEN = [
      "9e8b653aa28ff9d92486b9fec2a361353a8a3e7c15f461de881fdc497c8f452d"),
     (["best-response", "--player", "bob", "--claimed", "1,0.5,0", "--res", "5", "--p", "0.3",
       "--strategy", "A:pi/2,0,0"],
-     "833797af93200efa2fb5d5215c7a1da6b6c2a3063fda99ecb27caee885162d94"),
+     "eabc4af95ab265c355aa69123049bb8ef5e867b6af7402fcc7b8b37dd2c3aedc"),
 ]
 
 

@@ -24,11 +24,12 @@ from qpd3.game import (
     OUTCOMES,
     GameConfig,
     PayoffTable,
-    PreparedGame,
     StrategyParams,
     _coherence_kernel,
+    deviation_form,
     initial_state,
     measurement_projectors,
+    payoffs,
     strategy_unitary,
 )
 
@@ -111,24 +112,25 @@ def test_coherence_kernel_equals_mask_on_states_and_projectors():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_payoffs_match_oracle(seed):
     cfg = random_config(seed)
-    got = PreparedGame(cfg).payoffs(cfg.strategies)
+    got = payoffs(cfg)
     np.testing.assert_allclose(got, oracle_payoffs(cfg, cfg.strategies), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("table", ["default", "random"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_deviation_form_matches_oracle(seed):
+def test_deviation_form_matches_oracle(seed, table):
     cfg = random_config(seed)
-    prepared = PreparedGame(cfg)
+    if table == "random":
+        cfg = dataclasses.replace(cfg, payoffs=random_table(seed + 200))
     rng = np.random.default_rng(seed + 100)
     for idx in range(3):
         deviation = random_strategy(rng)
         want = oracle_payoffs(cfg, with_deviation(cfg.strategies, idx, deviation))
         v = strategy_unitary(deviation.theta, deviation.alpha, deviation.beta).reshape(4)
-        for k in range(3):
-            form = prepared.deviation_form(cfg.strategies, idx, k)
-            np.testing.assert_allclose(form, form.conj().T, rtol=0, atol=1e-15)
-            got = (v.conj() @ form @ v).real
-            assert got == pytest.approx(want[k], abs=1e-12)
+        form = deviation_form(cfg, idx)
+        np.testing.assert_allclose(form, form.conj().T, rtol=0, atol=1e-15)
+        got = (v.conj() @ form @ v).real
+        assert got == pytest.approx(want[idx], abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -152,7 +154,6 @@ def test_best_response_matches_full_evaluation_and_oracle(monkeypatch, seed, tab
     cfg = random_config(seed)
     if table == "random":
         cfg = dataclasses.replace(cfg, payoffs=random_table(seed + 200))
-    prepared = PreparedGame(cfg)
     searched = []
 
     def recording_first_max(values):
@@ -168,7 +169,9 @@ def test_best_response_matches_full_evaluation_and_oracle(monkeypatch, seed, tab
         for (i, t), (j, a), (k, b) in itertools.product(
                 enumerate(thetas), enumerate(angles), enumerate(angles)):
             deviation = StrategyParams(t, a, b)
-            full[i, j, k] = prepared.payoffs(with_deviation(cfg.strategies, idx, deviation))[idx]
+            deviated = dataclasses.replace(
+                cfg, strategies=with_deviation(cfg.strategies, idx, deviation))
+            full[i, j, k] = payoffs(deviated)[idx]
         np.testing.assert_allclose(searched[-1], full, rtol=0, atol=1e-12)
         flat, best = first_max(full)
         i, j, k = np.unravel_index(flat, full.shape)
@@ -186,7 +189,7 @@ def test_deviation_payoffs_per_point_equal_batched_bitwise(seed, resolution):
     # the search's loop can become one call on the meshgrid without moving an output bit
     cfg = random_config(seed)
     idx = seed % 3
-    form = PreparedGame(cfg).deviation_form(cfg.strategies, idx, idx)
+    form = deviation_form(cfg, idx)
     thetas = np.linspace(0.0, math.pi, resolution)
     angles = np.linspace(-math.pi, math.pi, resolution)
     batched = deviation_payoffs(form, *np.meshgrid(thetas, angles, angles, indexing="ij"))
