@@ -2,10 +2,11 @@
 
 Subcommands: payoff, sweep, surface, best-response, nash-check, verify.
 Single evaluations and search results are printed as JSON on stdout; sweeps
-and surfaces are written as CSV (stdout by default, or --out FILE).  Exit
-codes: 0 success, 1 failed verification, 2 bad arguments or unreadable
-inputs, 3 numerical invariant violation, 141 (128 + SIGPIPE) when the
-reader of stdout closed it early, as ``qpd3 ... | head`` does.
+and surfaces are written as CSV (stdout by default, or --out FILE); a
+--table file is validated as it is read.  Exit codes: 0 success, 1 failed
+verification, 2 bad arguments or unreadable inputs, 3 numerical invariant
+violation, 141 (128 + SIGPIPE) when the reader of stdout closed it early,
+as ``qpd3 ... | head`` does.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from . import analysis, presets, verify
 from .channel import ChannelParams
 from .game import (
     COOPERATE,
+    DEFAULT_TABLE,
     PLAYER_NAMES,
     GameConfig,
-    PayoffTable,
     StrategyParams,
     closed_form_payoffs,
     outcome_probabilities,
+    payoff_table,
 )
 from .linalg import InvariantViolation
 
@@ -137,11 +139,16 @@ def _add_game_flags(parser: argparse.ArgumentParser,
                         f"(default: {strategy_default})")
 
 
-def _load_table(args) -> PayoffTable:
+def _load_table(args):
+    """The --table file, a JSON object mapping outcome labels to triples, as a table array."""
     if args.table is None:
-        return PayoffTable()
+        return DEFAULT_TABLE
     try:
-        return PayoffTable.from_json(args.table)
+        with open(args.table, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("payoff table file must contain a JSON object")
+        return payoff_table(data)
     except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot load payoff table {args.table!r}: {exc}") from exc
 
@@ -183,7 +190,7 @@ def _write_csv(path: str, header: str, rows) -> None:
 def cmd_payoff(args) -> int:
     cfg = _config_from(args)
     probs = outcome_probabilities(cfg)
-    pay = probs @ cfg.payoffs.as_array()
+    pay = probs @ cfg.payoffs
     cf = closed_form_payoffs(cfg, pipeline=tuple(float(x) for x in pay))
     out = {
         "payoff_A": pay[0],
@@ -263,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "equilibrium checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sweep_presets = tuple(name for name, fig in presets.FIGURES.items() if fig[0] is not None)
+    surface_presets = tuple(name for name, fig in presets.FIGURES.items() if fig[0] is None)
 
     p_pay = sub.add_parser("payoff", help="evaluate one game and print payoffs as JSON")
     _add_game_flags(p_pay)
@@ -275,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="variable to sweep (default: from preset)")
     p_sweep.add_argument("--grid", type=parse_grid, default=analysis.grid_points(0, 1, 21),
                          help="sweep grid start:stop:count (default: 0:1:21)")
-    p_sweep.add_argument("--preset", choices=("fig2", "fig3"), default=None,
+    p_sweep.add_argument("--preset", choices=sweep_presets, default=None,
                          help="canned sweep profile (default: none)")
     p_sweep.add_argument("--out", default="-", metavar="FILE",
                          help="output CSV path, '-' for stdout (default: -)")
@@ -285,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_game_flags(p_surf, "all play pi/2,0,0")
     p_surf.add_argument("--res", type=int, default=41,
                         help="grid resolution per axis (default: 41)")
-    p_surf.add_argument("--preset", choices=("fig4", "fig5"), default=None,
+    p_surf.add_argument("--preset", choices=surface_presets, default=None,
                         help="canned surface settings (default: none)")
     p_surf.add_argument("--out", default="-", metavar="FILE",
                         help="output CSV path, '-' for stdout (default: -)")
@@ -294,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_br = sub.add_parser("best-response",
                           help="exhaustive one-player grid search against a claimed strategy")
     _add_game_flags(p_br)
-    p_br.add_argument("--player", choices=("alice", "bob", "charlie"), required=True,
+    p_br.add_argument("--player", choices=PLAYER_NAMES, required=True,
                       help="which player deviates")
     p_br.add_argument("--claimed", type=parse_triple, required=True,
                       metavar="THETA,ALPHA,BETA",

@@ -22,7 +22,8 @@ where l'm'n' is the bitwise complement of lmn.  The relative phase is +i on
 every basis state; this uniform convention makes the eight states an
 orthonormal, complete set for every delta (verified at construction) and is
 the convention under which the closed-form payoff expression below holds.
-Payoffs are $_k = sum_lmn table[lmn][k] * Tr(P_lmn rho_final).
+Payoffs are $_k = sum_lmn table[lmn][k] * Tr(P_lmn rho_final), the table
+being one read-only (8, 3) array made and validated by :func:`payoff_table`.
 
 Move encoding: qubit value 0 is Cooperate, 1 is Defect; tensor slots are
 (Alice, Bob, Charlie) left to right, matching the payoff-table outcome labels.
@@ -44,10 +45,8 @@ density-matrix pipeline, which is authoritative.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -59,18 +58,6 @@ BASIS_READING = "uniform-plus-i"
 
 #: Outcome labels in index order: bit 0 is Cooperate, bit 1 is Defect.
 OUTCOMES = ("000", "001", "010", "011", "100", "101", "110", "111")
-
-#: Classical payoff table: outcome -> (Alice, Bob, Charlie).
-DEFAULT_TABLE = {
-    "000": (3.0, 3.0, 3.0),
-    "001": (2.0, 2.0, 5.0),
-    "010": (2.0, 5.0, 2.0),
-    "011": (0.0, 4.0, 4.0),
-    "100": (5.0, 2.0, 2.0),
-    "101": (4.0, 0.0, 4.0),
-    "110": (4.0, 4.0, 0.0),
-    "111": (1.0, 1.0, 1.0),
-}
 
 PLAYER_NAMES = ("alice", "bob", "charlie")
 
@@ -104,44 +91,38 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= 1e300
 
 
-@dataclass(frozen=True)
-class PayoffTable:
-    """Payoff triples (Alice, Bob, Charlie) for the eight classical outcomes."""
+def payoff_table(entries) -> np.ndarray:
+    """Validate a mapping outcome label -> (Alice, Bob, Charlie) payoffs.
 
-    entries: dict = field(default_factory=lambda: dict(DEFAULT_TABLE))
+    Returns the table as a read-only (8, 3) float array, rows in outcome order.
+    """
+    missing = [k for k in OUTCOMES if k not in entries]
+    if missing:
+        raise ValueError(f"payoff table is missing outcomes: {missing}")
+    extra = [k for k in entries if k not in OUTCOMES]
+    if extra:
+        raise ValueError(f"payoff table has unknown outcomes: {extra}")
+    for k in OUTCOMES:
+        v = entries[k]
+        if not (isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v))):
+            raise ValueError(f"payoff entry for {k} must be 3 numbers within +-1e300, "
+                             f"got {v!r}")
+    table = np.array([entries[k] for k in OUTCOMES], dtype=float)
+    table.flags.writeable = False
+    return table
 
-    def __post_init__(self):
-        missing = [k for k in OUTCOMES if k not in self.entries]
-        if missing:
-            raise ValueError(f"payoff table is missing outcomes: {missing}")
-        extra = [k for k in self.entries if k not in OUTCOMES]
-        if extra:
-            raise ValueError(f"payoff table has unknown outcomes: {extra}")
-        clean = {}
-        for k in OUTCOMES:
-            v = self.entries[k]
-            if not (isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_is_number, v))):
-                raise ValueError(f"payoff entry for {k} must be 3 numbers within +-1e300, "
-                                 f"got {v!r}")
-            clean[k] = tuple(float(x) for x in v)
-        # Read-only, so the array built from it below cannot go stale.
-        object.__setattr__(self, "entries", MappingProxyType(clean))
-        array = np.array([clean[k] for k in OUTCOMES])
-        array.flags.writeable = False
-        object.__setattr__(self, "_array", array)
 
-    def as_array(self) -> np.ndarray:
-        """Read-only (8, 3) array in outcome-index order, built once per table."""
-        return self._array
-
-    @classmethod
-    def from_json(cls, path) -> "PayoffTable":
-        """Load a table from a JSON object mapping outcome labels to triples."""
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("payoff table file must contain a JSON object")
-        return cls(entries=data)
+#: Classical payoff table, rows (Alice, Bob, Charlie) in outcome order.
+DEFAULT_TABLE = payoff_table({
+    "000": (3.0, 3.0, 3.0),
+    "001": (2.0, 2.0, 5.0),
+    "010": (2.0, 5.0, 2.0),
+    "011": (0.0, 4.0, 4.0),
+    "100": (5.0, 2.0, 2.0),
+    "101": (4.0, 0.0, 4.0),
+    "110": (4.0, 4.0, 0.0),
+    "111": (1.0, 1.0, 1.0),
+})
 
 
 @dataclass(frozen=True)
@@ -157,7 +138,7 @@ class GameConfig:
     passage1: ChannelParams
     passage2: ChannelParams
     strategies: tuple[StrategyParams, StrategyParams, StrategyParams]
-    payoffs: PayoffTable = field(default_factory=PayoffTable)
+    payoffs: np.ndarray = field(default_factory=lambda: DEFAULT_TABLE)
 
     def __post_init__(self):
         for name, val in (("gamma", self.gamma), ("delta", self.delta)):
@@ -248,7 +229,7 @@ def _state_and_observables(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     rho1 = _coherence_kernel(cfg.passage1) * initial_state(cfg.gamma)
     projectors = _coherence_kernel(cfg.passage2) * measurement_projectors(cfg.delta)
-    return rho1, np.einsum("mk,mxy->kxy", cfg.payoffs.as_array(), projectors)
+    return rho1, np.einsum("mk,mxy->kxy", cfg.payoffs, projectors)
 
 
 def payoffs(cfg: GameConfig) -> tuple[float, float, float]:
@@ -298,7 +279,7 @@ def outcome_probabilities(cfg: GameConfig) -> np.ndarray:
 def pipeline_payoffs(cfg: GameConfig) -> tuple[float, float, float]:
     """Expected payoffs (Alice, Bob, Charlie) from the density-matrix pipeline."""
     probs = outcome_probabilities(cfg)
-    pay = probs @ cfg.payoffs.as_array()
+    pay = probs @ cfg.payoffs
     return (float(pay[0]), float(pay[1]), float(pay[2]))
 
 
@@ -344,7 +325,7 @@ def closed_form_payoffs(cfg: GameConfig, pipeline) -> dict:
     )
     c = [cos(t / 2) ** 2 for t in (t1, t2, t3)]
     s = [sin(t / 2) ** 2 for t in (t1, t2, t3)]
-    table = cfg.payoffs.as_array()
+    table = cfg.payoffs
     complement = table[::-1]  # T[7 - x]
     gap = table - complement
     # The eight diagonal blocks, one per outcome x, in one rule.

@@ -75,7 +75,7 @@ def check_classical_limit() -> CheckResult:
     for x, label in enumerate(OUTCOMES):
         cfg = presets.classical_config(DEFECT if bit == "1" else COOPERATE for bit in label)
         got = pipeline_payoffs(cfg)
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, cfg.payoffs.as_array()[x])))
+        worst = max(worst, max(abs(a - b) for a, b in zip(got, cfg.payoffs[x])))
     return CheckResult(
         "classical_limit_exact", worst <= 1e-12, f"max |payoff err| = {worst:.3e}", "1e-12"
     )

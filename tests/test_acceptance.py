@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from qpd3 import verify
+from qpd3 import analysis, verify
 from qpd3.channel import ChannelParams
 
 
@@ -107,6 +107,26 @@ def test_channel_soundness_counts_each_invalid_state(monkeypatch):
     print(res.line())
     assert not res.passed
     assert "M o rho a valid state in 95/100 random states" in res.details
+
+
+def test_surface_argmax_invariance_fails_where_the_claimed_point_loses(monkeypatch):
+    # the claimed (alpha1, theta1) = (pi/2, pi/2) lowered below the grid maximum at one (p, mu)
+    original = analysis.strategy_surface
+
+    def lowered(cfg, resolution):
+        alphas, thetas, values = original(cfg, resolution)
+        if (cfg.passage1.p, cfg.passage1.mu) == (0.3, 0.7):
+            values = values.copy()
+            claimed = tuple(np.abs(np.subtract(x, np.pi / 2)).argmin() for x in (alphas, thetas))
+            values[claimed] -= 1e-6
+        return alphas, thetas, values
+
+    monkeypatch.setattr(analysis, "strategy_surface", lowered)
+    res = verify.check_surface_argmax_invariance()
+    print(res.line())
+    assert not res.passed
+    assert "maximal at 15/16" in res.measured
+    assert "not maximal at [(0.3, 0.7)]" in res.details
 
 
 GRID = np.linspace(0.0, 1.0, 21)

@@ -121,6 +121,17 @@ def test_invalid_value_is_an_error(capsys, tmp_path):
         code, out, err = run_cli(capsys, "sweep", "--var", "p", "--grid", grid)
         assert code == 2 and out == ""
         assert f"bad grid {grid!r}" in err and "does not have a finite width" in err
+    # malformed values are refused while parsing, each with its own message
+    for argv, message in (
+        (["sweep", "--var", "p", "--grid", "0:1"], "grid must be start:stop:count"),
+        (["payoff", "--strategy", "A:1,2"], "strategy must be theta,alpha,beta"),
+        (["best-response", "--player", "alice", "--claimed", "4,0,0"],
+         "theta must be in [0, pi]"),
+        (["verify", "--seed", "abc", "--report", str(report)], "invalid int value: 'abc'"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and message in err, argv
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -342,6 +353,14 @@ def test_corrupted_table_file(capsys, tmp_path):
         assert code == 2, bad
         assert out == ""
         assert err.startswith("error: cannot load payoff table") and "101" in err
+
+    table = {f"{l}{m}{n}": good for l in (0, 1) for m in (0, 1) for n in (0, 1)}
+    for data, message in (({**table, "222": good}, "payoff table has unknown outcomes: ['222']"),
+                          ([1, 2], "payoff table file must contain a JSON object")):
+        path2.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "payoff", "--table", str(path2))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot load payoff table") and message in err
 
     path2.write_text("[" * 100000 + "]" * 100000)  # deeper than the JSON decoder recurses
     code, _, err = run_cli(capsys, "payoff", "--table", str(path2))

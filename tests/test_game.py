@@ -14,16 +14,17 @@ from qpd3 import game
 from qpd3.channel import ChannelParams
 from qpd3.game import (
     COOPERATE,
+    DEFAULT_TABLE,
     DEFECT,
     GameConfig,
     OUTCOMES,
-    PayoffTable,
     StrategyParams,
     closed_form_payoffs,
     initial_state,
     measurement_projectors,
     mu_p_factor,
     outcome_probabilities,
+    payoff_table,
     pipeline_payoffs,
     strategy_unitary,
 )
@@ -63,27 +64,28 @@ def test_game_config_ranges():
         make_config(gamma=2.0)
     with pytest.raises(ValueError):
         make_config(delta=-0.1)
+    with pytest.raises(ValueError, match="strategies must be a triple of StrategyParams"):
+        make_config(strategies=(COOPERATE, COOPERATE))
 
 
-def test_payoff_table_validation(tmp_path):
+def test_payoff_table_validation():
+    with pytest.raises(ValueError, match="missing outcomes"):
+        payoff_table({"000": (1, 2, 3)})
+    with pytest.raises(ValueError, match=r"unknown outcomes: \['222'\]"):
+        payoff_table({**{k: (0, 0, 0) for k in OUTCOMES}, "222": (0, 0, 0)})
+    with pytest.raises(ValueError, match="payoff entry for 011 must be 3 numbers"):
+        payoff_table({k: (0, 0) if k == "011" else (0, 0, 0) for k in OUTCOMES})
+    # a read-only float array equal to the mapping, rows in outcome order
+    entries = {k: [x, -x, 0.5 * x] for x, k in enumerate(OUTCOMES)}
+    table = payoff_table(entries)
+    assert table.shape == (8, 3) and table.dtype == np.float64
+    assert table.tolist() == [entries[k] for k in OUTCOMES]
+    assert not table.flags.writeable
     with pytest.raises(ValueError):
-        PayoffTable(entries={"000": (1, 2, 3)})
-    table = PayoffTable()
-    assert table.as_array()[0].tolist() == [3, 3, 3]
-    assert table.as_array() is table.as_array()
-    assert not table.as_array().flags.writeable
-    with pytest.raises(TypeError):
-        table.entries["000"] = (0, 0, 0)
-
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps({k: [0, 0, 0] for k in OUTCOMES}))
-    loaded = PayoffTable.from_json(path)
-    assert loaded.as_array()[7].tolist() == [0, 0, 0]
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"000": [1, 2, 3]}))
-    with pytest.raises(ValueError):
-        PayoffTable.from_json(bad)
+        table[0, 0] = 1.0
+    assert DEFAULT_TABLE[0].tolist() == [3, 3, 3] and not DEFAULT_TABLE.flags.writeable
+    # a config built without a table shares the one built at import
+    assert make_config().payoffs is DEFAULT_TABLE
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +173,11 @@ def test_entangled_noiseless_anchors():
 
 
 def test_classical_embedding_all_profiles():
-    table = PayoffTable()
     for x, bits in enumerate(itertools.product((0, 1), repeat=3)):
         strategies = tuple(DEFECT if b else COOPERATE for b in bits)
         cfg = make_config(gamma=0.0, delta=0.0, strategies=strategies)
         got = pipeline_payoffs(cfg)
-        want = table.as_array()[x]
+        want = DEFAULT_TABLE[x]
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -328,9 +329,9 @@ def test_closed_form_report_structure():
 
 def random_generic_config(rng, p2=None):
     """gamma, delta inside (0, pi/2), split passages, the default or a random table."""
-    table = PayoffTable()
+    table = DEFAULT_TABLE
     if rng.uniform() < 0.5:
-        table = PayoffTable({k: tuple(rng.uniform(-5.0, 5.0, 3)) for k in OUTCOMES})
+        table = payoff_table({k: tuple(rng.uniform(-5.0, 5.0, 3)) for k in OUTCOMES})
     gamma, delta = rng.uniform(0.05, HPI - 0.05, 2)
     p1, mu1, p2_drawn, mu2 = rng.uniform(0.0, 1.0, 4)
     strategies = tuple(
@@ -411,7 +412,7 @@ def test_closed_form_golden_values(case):
     gamma, delta, noise, strategies, custom, want = case
     cfg = make_config(gamma, delta, *noise, tuple(StrategyParams(*s) for s in strategies))
     if custom:
-        cfg = dataclasses.replace(cfg, payoffs=PayoffTable(_TABLE))
+        cfg = dataclasses.replace(cfg, payoffs=payoff_table(_TABLE))
     got = closed_form_payoffs(cfg, pipeline_payoffs(cfg))["payoffs"]
     assert got == pytest.approx(want, abs=1e-13)
 

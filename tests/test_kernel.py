@@ -23,12 +23,12 @@ from qpd3.channel import ChannelParams, correlated_triple, dephasing_mask, kraus
 from qpd3.game import (
     OUTCOMES,
     GameConfig,
-    PayoffTable,
     StrategyParams,
     _coherence_kernel,
     deviation_form,
     initial_state,
     measurement_projectors,
+    payoff_table,
     payoffs,
     strategy_unitary,
 )
@@ -64,11 +64,11 @@ def random_config(seed):
 def random_table(seed):
     """A payoff table with entries drawn from [0, 7.5]."""
     rng = np.random.default_rng(seed)
-    return PayoffTable({label: rng.uniform(0.0, 7.5, size=3).tolist() for label in OUTCOMES})
+    return payoff_table({label: rng.uniform(0.0, 7.5, size=3).tolist() for label in OUTCOMES})
 
 
 def oracle_payoffs(cfg, strategies):
-    table = dict(zip(OUTCOMES, map(tuple, cfg.payoffs.as_array().tolist())))
+    table = dict(zip(OUTCOMES, map(tuple, cfg.payoffs.tolist())))
     return oracle.payoffs(
         cfg.gamma, cfg.delta, cfg.passage1.p, cfg.passage1.mu, cfg.passage2.p, cfg.passage2.mu,
         [(s.theta, s.alpha, s.beta) for s in strategies], table,

@@ -38,6 +38,11 @@ def test_trace_cases():
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
         as_complex_matrix(np.array([[np.nan, 0], [0, 1]]))
+    # malformed shapes too: not 2-D, or an empty dimension
+    with pytest.raises(ValueError, match="2-D"):
+        as_complex_matrix(np.ones(3))
+    with pytest.raises(ValueError, match="positive"):
+        as_complex_matrix(np.zeros((0, 2)))
     with pytest.raises(ValueError):
         check_density_matrix(np.array([[np.inf, 0], [0, 1]]))
 
