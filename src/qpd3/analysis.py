@@ -1,11 +1,12 @@
 """Parameter sweeps, strategy surfaces, best responses and equilibrium checks.
 
-All searches are exhaustive over explicit grids: the payoff landscape is
-smooth but cheap to evaluate at 8x8, so certifiable enumeration beats clever
-optimisation here.  Every function is deterministic.  :func:`sweep` takes
-its grid and returns one row per point; the searches build their own grids
-from a resolution per axis and return what ``qpd3`` prints.  Ties within
-``TIE_TOL`` of a grid maximum are broken by one rule, :func:`first_max`.
+Searches are exact or grid.  The exact search (:func:`exact_best_response`)
+maximises one player's payoff over all of SU(2) with one 4x4 eigh, so its
+answer is the true best response, not a grid's.  The grid searches are
+exhaustive over explicit grids, deterministic, and break ties within
+``TIE_TOL`` of a grid maximum by one rule, :func:`first_max`.  :func:`sweep`
+takes its grid and returns one row per point; the other searches build
+their grids from a resolution per axis and return what ``qpd3`` prints.
 Every game setting, the audited strategy profile included, is read from the
 :class:`~qpd3.game.GameConfig` passed in.
 
@@ -14,12 +15,14 @@ the 4x4 form vec(u)† Q vec(u) in one player's unitary u
 (:func:`deviation_payoffs`, Q from :func:`~qpd3.game.deviation_form`).
 Surfaces make one call over their grid; best responses call it point by
 point, which gives the bits of one call on the meshgrid.  The loop stays
-while the benchmark checks each search against the slow oracle within a
-deadline that a 100x faster search would overrun.
+until the benchmark runs a fixed number of units: it checks each search
+against the slow oracle within a deadline that a 100x faster search would
+overrun.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -37,6 +40,10 @@ TIE_TOL = 1e-12
 #: Most grid points one request may evaluate; larger grids are refused before
 #: anything is allocated.
 MAX_GRID_POINTS = 10**6
+
+#: vec(u) = _SU2_BASIS @ q for u = [[a, b], [-b*, a*]] in SU(2), vec(u) row-major
+#: and q = (Re a, Im a, Re b, Im b) a unit real 4-vector.
+_SU2_BASIS = np.array([[1, 1j, 0, 0], [0, 0, 1, 1j], [0, 0, -1, 1j], [1, -1j, 0, 0]])
 
 
 def check_grid_size(points: int, what: str) -> None:
@@ -131,14 +138,50 @@ def first_max(values: np.ndarray) -> tuple[int, float]:
     return int(np.flatnonzero(values >= best - TIE_TOL)[0]), float(best)
 
 
+def exact_best_response(cfg: GameConfig, idx: int, form: np.ndarray | None = None) -> dict:
+    """The best response of the player in slot ``idx`` over all of SU(2), by one 4x4 eigh.
+
+    With vec(u) = L q (``_SU2_BASIS``), the payoff is q^T S q for the real
+    symmetric S = Re(L† Q L), so the best payoff ``exact_payoff`` is
+    lambda_max(S), attained at its eigenvector q = (Re a, Im a, Re b, Im b):
+    ``exact_best`` is theta = 2 atan2(|b|, |a|), alpha = arg a and
+    beta = arg(b / i), with 0 for the angle that is free at theta = 0 (beta)
+    or theta = pi (alpha).  ``exact_gain`` is that payoff minus the payoff at
+    ``cfg.strategies[idx]``.  ``eigen_gap`` is lambda_max minus the next
+    eigenvalue; where it is 0 the best response is not unique and
+    ``exact_best`` is one of them.  ``form`` is ``deviation_form(cfg, idx)``,
+    built here unless the caller has it.
+    """
+    if form is None:
+        form = deviation_form(cfg, idx)
+    eigvals, eigvecs = np.linalg.eigh((_SU2_BASIS.conj().T @ form @ _SU2_BASIS).real)
+    q = eigvecs[:, -1]
+    q = q * np.sign(q[np.argmax(np.abs(q))])  # q and -q give the same payoff
+    a, b = complex(q[0], q[1]), complex(q[2], q[3])
+    angles = (2 * math.atan2(abs(b), abs(a)),
+              cmath.phase(a) if a else 0.0,
+              cmath.phase(b / 1j) if b else 0.0)
+    claimed = cfg.strategies[idx]
+    best = float(eigvals[-1])
+    return {
+        "exact_best": [x + 0.0 for x in angles],  # + 0.0 prints -0.0 as 0.0
+        "exact_payoff": best,
+        "exact_gain": best - float(
+            deviation_payoffs(form, claimed.theta, claimed.alpha, claimed.beta)),
+        "eigen_gap": float(eigvals[-1] - eigvals[-2]),
+    }
+
+
 def best_response(cfg: GameConfig, idx: int, resolution: int = 25) -> dict:
     """Exhaustively search the (theta, alpha, beta) grid of the player in slot ``idx``.
 
     The claimed strategy is ``cfg.strategies[idx]``; the other two players
     keep theirs.  ``best`` is the lexicographically smallest (theta, alpha,
     beta) grid point within TIE_TOL of the grid maximum.  The keys are those
-    ``qpd3 best-response`` prints, in its order.  The player's 4x4 form is
-    built once and evaluated point by point (see the module docstring).
+    ``qpd3 best-response`` prints, in its order: the grid fields, then the
+    ``exact_*`` fields and ``eigen_gap`` of :func:`exact_best_response` on the
+    same 4x4 form.  The form is built once and evaluated point by point (see
+    the module docstring).
     """
     if resolution < 3:
         raise ValueError(f"resolution must be >= 3, got {resolution}")
@@ -164,11 +207,16 @@ def best_response(cfg: GameConfig, idx: int, resolution: int = 25) -> dict:
         "best_payoff": best_val,
         "payoff_at_claimed": at_claimed,
         "gain_over_claimed": best_val - at_claimed,
+        **exact_best_response(cfg, idx, form),
     }
 
 
 def nash_check(cfg: GameConfig, resolution: int = 25) -> dict:
-    """The ``qpd3 nash-check`` record: equilibrium iff no grid gain exceeds NASH_GAIN_TOL."""
+    """The ``qpd3 nash-check`` record: equilibrium iff no grid gain exceeds NASH_GAIN_TOL.
+
+    ``exact_gains`` are the players' gains over all of SU(2), from the same
+    searches (see :func:`exact_best_response`).
+    """
     results = [best_response(cfg, idx, resolution) for idx in range(3)]
     gains = [r["gain_over_claimed"] for r in results]
     return {
@@ -176,4 +224,5 @@ def nash_check(cfg: GameConfig, resolution: int = 25) -> dict:
         "gains": gains,
         "gain_tolerance": NASH_GAIN_TOL,
         "best_responses": [r["best"] for r in results],
+        "exact_gains": [r["exact_gain"] for r in results],
     }

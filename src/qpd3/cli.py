@@ -23,6 +23,7 @@ from .channel import ChannelParams
 from .game import (
     COOPERATE,
     DEFAULT_TABLE,
+    PLAYER_KEYS,
     PLAYER_NAMES,
     GameConfig,
     StrategyParams,
@@ -106,7 +107,7 @@ def parse_seed(text: str) -> int:
 def parse_player_strategy(text: str) -> tuple[str, StrategyParams]:
     """Parse 'A:theta,alpha,beta' (player key A, B or C)."""
     key, sep, rest = str(text).partition(":")
-    if not sep or key.upper() not in ("A", "B", "C"):
+    if not sep or key.upper() not in PLAYER_KEYS:
         raise argparse.ArgumentTypeError(
             f"strategy must look like A:theta,alpha,beta, got {text!r}"
         )
@@ -156,11 +157,11 @@ def _load_table(args):
 def _config_from(args, strategies=None, p=None, mu=None) -> GameConfig:
     """The flags' game over the command's defaults (None: all cooperate, p = mu = 0)."""
     given = [key for key, _ in args.strategy or []]
-    for key in "ABC":
+    for key in PLAYER_KEYS:
         if given.count(key) > 1:
             raise ValueError(f"--strategy {key}:... is given more than once; "
                              "each player takes one strategy")
-    profile = dict(zip("ABC", strategies or (COOPERATE,) * 3), **dict(args.strategy or []))
+    profile = dict(zip(PLAYER_KEYS, strategies or (COOPERATE,) * 3), **dict(args.strategy or []))
     p = args.p if args.p is not None else p or 0.0
     mu = args.mu if args.mu is not None else mu or 0.0
     p2 = p if args.p2 is None else args.p2
@@ -235,7 +236,7 @@ def cmd_surface(args) -> int:
 
 def cmd_best_response(args) -> int:
     idx = PLAYER_NAMES.index(args.player)
-    key = "ABC"[idx]
+    key = PLAYER_KEYS[idx]
     if any(k == key for k, _ in args.strategy or []):
         raise ValueError(f"--strategy {key}:... has no effect with --player {args.player}: "
                          "--claimed sets that player's strategy")

@@ -60,6 +60,8 @@ BASIS_READING = "uniform-plus-i"
 OUTCOMES = ("000", "001", "010", "011", "100", "101", "110", "111")
 
 PLAYER_NAMES = ("alice", "bob", "charlie")
+#: The players' keys in ``--strategy A:...``, in the same order.
+PLAYER_KEYS = ("A", "B", "C")
 
 
 @dataclass(frozen=True)

@@ -239,15 +239,24 @@ def check_surface_argmax_invariance() -> CheckResult:
 
 
 def check_classical_nash() -> CheckResult:
-    """(D,D,D) is an equilibrium of the classical limit; (C,C,C) is not."""
-    ddd = analysis.nash_check(presets.classical_config((DEFECT,) * 3), resolution=9)
-    ccc = analysis.nash_check(presets.classical_config((COOPERATE,) * 3), resolution=9)
+    """(D,D,D) is an equilibrium of the classical limit; (C,C,C) is not.
+
+    Exact over all of SU(2), by one 4x4 eigh per player
+    (:func:`~qpd3.analysis.exact_best_response`): no deviation from all-D
+    gains more than NASH_GAIN_TOL, and every player's best deviation from
+    all-C gains 2.  That implies the same statement on any strategy grid.
+    """
+    def gains(move):
+        cfg = presets.classical_config((move,) * 3)
+        return [analysis.exact_best_response(cfg, idx)["exact_gain"] for idx in range(3)]
+
+    ddd, ccc = gains(DEFECT), gains(COOPERATE)
     expected_gain = 5.0 - 3.0
-    gain_err = max(abs(g - expected_gain) for g in ccc["gains"])
-    passed = ddd["is_equilibrium"] and not ccc["is_equilibrium"] and gain_err <= 1e-12
+    passed = (all(g <= analysis.NASH_GAIN_TOL for g in ddd)
+              and all(abs(g - expected_gain) <= 1e-12 for g in ccc))
     measured = (
-        f"all-D gains {tuple(f'{g:.1e}' for g in ddd['gains'])}, "
-        f"all-C deviation gain {ccc['gains'][0]:.6f}"
+        f"all-D gains {tuple(f'{g:.1e}' for g in ddd)}, "
+        f"all-C deviation gain {ccc[0]:.6f}"
     )
     return CheckResult(
         "classical_nash", passed, measured, "gain tol 1e-9; C-deviation = 2 exactly"

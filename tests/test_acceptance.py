@@ -15,8 +15,9 @@ import random
 import numpy as np
 import pytest
 
-from qpd3 import analysis, verify
+from qpd3 import analysis, game, verify
 from qpd3.channel import ChannelParams
+from qpd3.game import OUTCOMES
 
 
 def _run(result):
@@ -55,6 +56,26 @@ def test_07_surface_argmax_invariance():
 
 def test_08_classical_nash():
     _run(verify.check_classical_nash())
+
+
+def test_classical_nash_runs_no_grid_search(monkeypatch):
+    # the check is exact; a grid search brought back into it fails here
+    def refused(*args, **kwargs):
+        raise AssertionError("grid search called")
+
+    monkeypatch.setattr(analysis, "best_response", refused)
+    monkeypatch.setattr(analysis, "nash_check", refused)
+    _run(verify.check_classical_nash())
+
+
+def test_classical_nash_fails_where_deviating_from_all_d_pays(monkeypatch):
+    # Alice cooperating against two defectors gets 2 instead of 1
+    table = dict(zip(OUTCOMES, game.DEFAULT_TABLE.tolist()), **{"011": (2, 4, 4)})
+    monkeypatch.setattr(game, "DEFAULT_TABLE", game.payoff_table(table))
+    res = verify.check_classical_nash()
+    print(res.line())
+    assert not res.passed
+    assert res.line().startswith("FAIL  classical_nash: measured all-D gains ('1.0e+00', ")
 
 
 def test_09_closed_form_agreement(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for sweeps, surfaces, best responses and equilibrium checks."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,13 +10,15 @@ import pytest
 from qpd3 import presets
 from qpd3.analysis import (
     best_response,
+    exact_best_response,
     first_max,
     grid_points,
     nash_check,
     strategy_surface,
     sweep,
 )
-from qpd3.game import COOPERATE, DEFECT, StrategyParams, payoffs
+from qpd3.game import COOPERATE, DEFECT, OUTCOMES, StrategyParams, payoff_table, payoffs
+from test_kernel import oracle_payoffs, random_config, random_table, with_deviation
 
 HPI = math.pi / 2
 
@@ -136,7 +139,8 @@ def test_best_response_noiseless_claim_is_grid_optimal():
     cfg = presets.entangled_config(0.0, 0.0, (claimed,) + presets.SURFACE_PROFILE[1:])
     res = best_response(cfg, 0, resolution=25)
     assert list(res) == ["player", "grid_resolution", "best", "best_payoff",
-                         "payoff_at_claimed", "gain_over_claimed"]
+                         "payoff_at_claimed", "gain_over_claimed",
+                         "exact_best", "exact_payoff", "exact_gain", "eigen_gap"]
     assert res["player"] == "alice"
     assert res["gain_over_claimed"] <= 1e-9
     assert res["best_payoff"] >= res["payoff_at_claimed"] - 1e-12
@@ -196,15 +200,19 @@ def test_sweep_payoffs_non_increasing_in_p_without_memory():
 
 def test_nash_check_classical_limit():
     ddd = nash_check(presets.classical_config((DEFECT,) * 3), resolution=9)
-    assert list(ddd) == ["is_equilibrium", "gains", "gain_tolerance", "best_responses"]
+    assert list(ddd) == ["is_equilibrium", "gains", "gain_tolerance", "best_responses",
+                         "exact_gains"]
     assert ddd["is_equilibrium"] is True
     assert ddd["gain_tolerance"] == 1e-9
     assert all(g <= 1e-9 for g in ddd["gains"])
     assert ddd["best_responses"] == [[math.pi, -math.pi, -math.pi]] * 3
 
+    assert ddd["exact_gains"] == [0.0] * 3
+
     ccc = nash_check(presets.classical_config((COOPERATE,) * 3), resolution=9)
     assert ccc["is_equilibrium"] is False
     assert all(g == pytest.approx(2.0, abs=1e-12) for g in ccc["gains"])
+    assert all(g == pytest.approx(2.0, abs=1e-12) for g in ccc["exact_gains"])
 
 
 def test_nash_check_reports_gains_for_quantum_profile():
@@ -216,3 +224,84 @@ def test_nash_check_reports_gains_for_quantum_profile():
         single = best_response(presets.entangled_config(0.0, 0.0, profile), idx, resolution=9)
         assert res["gains"][idx] == single["gain_over_claimed"]
         assert res["best_responses"][idx] == single["best"]
+        assert res["exact_gains"][idx] == single["exact_gain"]
+
+
+def generic_config(seed):
+    """Generic gamma and delta, split passages and a random payoff table."""
+    return dataclasses.replace(random_config(seed), payoffs=random_table(seed + 1000))
+
+
+def test_exact_best_response_attains_its_payoff_in_the_oracle():
+    for seed in range(60):
+        cfg = generic_config(seed)
+        at_claimed = payoffs(cfg)
+        for idx in range(3):
+            res = exact_best_response(cfg, idx)
+            assert list(res) == ["exact_best", "exact_payoff", "exact_gain", "eigen_gap"]
+            best = StrategyParams(*res["exact_best"])
+            got = oracle_payoffs(cfg, with_deviation(cfg.strategies, idx, best))[idx]
+            assert got == pytest.approx(res["exact_payoff"], abs=1e-12)
+            assert res["exact_gain"] == pytest.approx(
+                res["exact_payoff"] - at_claimed[idx], abs=1e-12)
+            assert res["eigen_gap"] >= 0.0
+            # of the two signs of the eigenvector, the one whose largest entry is positive
+            a = np.exp(1j * best.alpha) * math.cos(best.theta / 2)
+            b = 1j * np.exp(1j * best.beta) * math.sin(best.theta / 2)
+            q = np.array([a.real, a.imag, b.real, b.imag])
+            assert q[np.argmax(np.abs(q))] > 0.0
+
+
+def test_exact_gain_bounds_the_grid_gain():
+    # SU(2) contains every grid point
+    for seed in range(12):
+        cfg = generic_config(seed)
+        for idx in range(3):
+            res = best_response(cfg, idx, resolution=9)
+            assert res["exact_gain"] >= res["gain_over_claimed"] - 1e-12
+            assert res["exact_payoff"] >= res["best_payoff"] - 1e-12
+            exact = exact_best_response(cfg, idx)
+            assert {key: res[key] for key in exact} == exact
+
+
+@pytest.mark.parametrize("paid_bit,theta", [("0", 0.0), ("1", math.pi)])
+def test_exact_best_response_takes_0_for_the_free_angle(paid_bit, theta):
+    # each player is paid 1 for the move with this outcome bit (0 C, 1 D), else 0;
+    # theta = 0 leaves beta free, theta = pi leaves alpha free
+    table = payoff_table({label: [float(bit == paid_bit) for bit in label] for label in OUTCOMES})
+    cfg = dataclasses.replace(presets.classical_config((COOPERATE,) * 3), payoffs=table)
+    for idx in range(3):
+        res = exact_best_response(cfg, idx)
+        got_theta, alpha, beta = res["exact_best"]
+        assert got_theta == theta
+        free = beta if theta == 0.0 else alpha
+        assert free == 0.0 and math.copysign(1.0, free) == 1.0
+        assert res["exact_payoff"] == 1.0
+
+
+@pytest.mark.parametrize("top", [(-1.0, 0.0, 0.0, 0.0), (1.0, -0.0, 0.0, 0.0)])
+def test_exact_best_response_prints_no_negative_zero(monkeypatch, top):
+    # a = 1 - 0j, from a -0.0 entry or from flipping the sign of a 0.0, has arg -0.0
+    eigh = np.linalg.eigh
+
+    def with_top(s):
+        values, vectors = eigh(s)
+        vectors[:, -1] = top
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", with_top)
+    res = exact_best_response(presets.classical_config((COOPERATE,) * 3), 0)
+    assert res["exact_best"] == [0.0, 0.0, 0.0]
+    assert all(math.copysign(1.0, x) == 1.0 for x in res["exact_best"])
+
+
+def test_exact_eigen_gap_is_zero_on_classical_games():
+    # the classical payoff sees only |a| and |b|, so each top eigenvalue is double
+    for moves in itertools.product((COOPERATE, DEFECT), repeat=3):
+        cfg = presets.classical_config(moves)
+        for idx in range(3):
+            res = exact_best_response(cfg, idx)
+            assert res["eigen_gap"] == 0.0
+            # defection dominates, so it is a best response
+            defects = dataclasses.replace(cfg, strategies=with_deviation(moves, idx, DEFECT))
+            assert res["exact_payoff"] == pytest.approx(payoffs(defects)[idx], abs=1e-12)

@@ -296,9 +296,11 @@ def test_best_response_json(capsys):
     assert set(data) == {
         "player", "grid_resolution", "best", "best_payoff",
         "payoff_at_claimed", "gain_over_claimed",
+        "exact_best", "exact_payoff", "exact_gain", "eigen_gap",
     }
     assert data["player"] == "alice"
     assert data["gain_over_claimed"] >= -1e-12
+    assert data["exact_gain"] >= data["gain_over_claimed"] - 1e-12
 
 
 def test_nash_check_classical_equilibrium(capsys):
@@ -318,6 +320,7 @@ def test_nash_check_classical_equilibrium(capsys):
     data = json.loads(out)
     assert data["is_equilibrium"] is False
     assert data["gains"] == pytest.approx([2.0, 2.0, 2.0], abs=1e-12)
+    assert data["exact_gains"] == pytest.approx([2.0, 2.0, 2.0], abs=1e-12)
 
 
 def test_payoff_table_override(capsys, tmp_path):

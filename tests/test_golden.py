@@ -54,12 +54,12 @@ def test_csv_output_is_byte_identical(capsys, argv, digest):
 JSON_GOLDEN = [
     (["best-response", "--player", "alice", "--claimed", "pi/2,pi/2,0",
       "--strategy", "B:pi/2,0,0", "--strategy", "C:pi/2,0,0", "--res", "9"],
-     "f93c64d94fb627d03be99cac9cc51cc23772db868a054e6863d4cda436a2e7ef"),
+     "344f1f7ce11834d627a04f4d9b4f87d3c25ade77e644af95ab072cc0d096e19a"),
     (["nash-check", "--gamma", "0", "--delta", "0", "--strategy", "A:pi,0,0",
       "--strategy", "B:pi,0,0", "--strategy", "C:pi,0,0", "--res", "5"],
-     "9f811fb0e9871049002ae3f2969b5b5235727da04d669a66e399d350462401d3"),
+     "42b03c433555d140394e2ee8c43e02d6f1a50662fd493a20bc25d1bcd1faee3c"),
     (["nash-check", "--res", "7"] + SPLIT + STRATEGIES,
-     "f83bdf09c5b36e954c86161b7c23f18c5fcc00edb7226412fc9e2995eaa8d2ec"),
+     "4382e08d43cfd0910d0aa81391d984150f03653697a6f0a6da22d72c3eaec2dd"),
     (["payoff"] + SPLIT + STRATEGIES,
      "2fcd6b7cc4e25e201a82f8c8f7f7128451449d54f599de283b9d09f80cc71465"),
 ]
@@ -183,7 +183,7 @@ OVERRIDE_GOLDEN = [
      "9e8b653aa28ff9d92486b9fec2a361353a8a3e7c15f461de881fdc497c8f452d"),
     (["best-response", "--player", "bob", "--claimed", "1,0.5,0", "--res", "5", "--p", "0.3",
       "--strategy", "A:pi/2,0,0"],
-     "eabc4af95ab265c355aa69123049bb8ef5e867b6af7402fcc7b8b37dd2c3aedc"),
+     "90e8aeddd5c646397a01ce35996839b27403c343ca2966f259782064360f4f5d"),
 ]
 
 
