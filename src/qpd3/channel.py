@@ -8,12 +8,13 @@ the Kraus operators are
     A_ijk = sqrt( [(1-mu) p_i + mu d_ij]
                   [(1-mu) p_j + mu d_jk] p_k ) sigma_i x sigma_j x sigma_k
 
-with indices in {0, 3} (identity, sigma_z) and d the Kronecker delta.  The
-weight chains the deltas asymmetrically (d_ij then d_jk, bare p_k last); that
-ordering is kept literally and the permutation-symmetrised alternative is
-deliberately not used.  With mu=0 the weights factor into p_i p_j p_k
-(independent errors); with mu=1 only identical errors survive.  Zero-weight
-operators are kept so the index bookkeeping stays uniform.
+with indices in {0, 3} (identity, sigma_z), the rows of :data:`qpd3.linalg.BITS`
+with bit 1 for index 3, and d the Kronecker delta.  The weight is a Markov
+chain read from Charlie, and its transition (1-mu) p_j + mu d_jk is reversible,
+so w_ijk = w_kji: the channel is unchanged when Alice and Charlie swap places,
+but not under the other permutations, as Alice and Charlie are not neighbours.
+With mu=0 the weights factor into p_i p_j p_k; with mu=1 only identical errors
+survive.  Zero-weight operators are kept so the index bookkeeping stays uniform.
 
 :func:`correlated_triple` builds the operators, which define the channel;
 :func:`dephasing_mask` is the elementwise mask the validated evaluation runs;
@@ -24,32 +25,22 @@ them broadcast over ``(p, mu)`` arrays, with the grid's axes leading, so
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_ATOL, ID2, SIGMA_Z, InvariantViolation
+from .linalg import BITS, DEFAULT_ATOL, ID2, SIGMA_Z, InvariantViolation
 
-#: Pauli operators selected by the channel index set {0, 3}.
-_SIGMA = {0: ID2, 3: SIGMA_Z}
+#: _TRIPLE_PAULIS[n]: the Pauli string of index triple n, sigma_z where BITS[n] is 1.
+#: Built apart from _TRIPLE_SIGNS, so the operators and the mask check each other.
+_TRIPLE_PAULIS = np.stack([np.kron(np.kron(sigma_i, sigma_j), sigma_k)
+                           for sigma_i, sigma_j, sigma_k in np.stack((ID2, SIGMA_Z))[BITS]])
 
-#: Three-qubit index triples in operator order.
-_TRIPLE_INDICES = tuple(itertools.product((0, 3), repeat=3))
-
-#: _TRIPLE_PAULIS[m]: sigma_i x sigma_j x sigma_k of the m-th index triple.  Built
-#: apart from _TRIPLE_SIGNS, so the operators and the mask check each other.
-_TRIPLE_PAULIS = np.stack(
-    [np.kron(np.kron(_SIGMA[i], _SIGMA[j]), _SIGMA[k]) for i, j, k in _TRIPLE_INDICES]
-)
-
-#: _TRIPLE_SIGNS[n, x]: diagonal entry x of the Pauli product of index triple
-#: n.  Bits of n and x are (Alice, Bob, Charlie) from the top; triple n has
-#: sigma_z on the qubits of n's set bits, so the entry is (-1)^popcount(n & x).
-_TRIPLE_SIGNS = np.array([[(-1.0) ** bin(n & x).count("1") for x in range(8)] for n in range(8)])
+#: _TRIPLE_SIGNS[n, x] = (-1)^popcount(n & x): diagonal entry x of Pauli string n.
+_TRIPLE_SIGNS = (-1.0) ** (BITS @ BITS.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelParams:
     """One channel passage: decoherence strength ``p`` and memory ``mu``, or arrays of them."""
 
@@ -77,13 +68,12 @@ def _triple_weights(params: ChannelParams) -> np.ndarray:
     """Weights w_ijk of A_ijk = sqrt(w_ijk) sigma_i x sigma_j x sigma_k, on a trailing axis of 8.
 
     The weight [(1-mu)p_i + mu d_ij][(1-mu)p_j + mu d_jk] p_k is evaluated
-    literally, including the asymmetric delta chaining.
+    literally, in this product order; it equals its mirror w_kji (module docstring).
     """
-    p0, p3 = params.error_probabilities()
-    p, mu, q = {0: p0, 3: p3}, params.mu, 1.0 - params.mu
+    p, mu, q = params.error_probabilities(), params.mu, 1.0 - params.mu
     weights = np.array([
         (q * p[i] + mu * (i == j)) * (q * p[j] + mu * (j == k)) * p[k]
-        for i, j, k in _TRIPLE_INDICES
+        for i, j, k in BITS.tolist()
     ])
     return weights.transpose(*range(1, weights.ndim), 0)  # batch axes first
 

@@ -26,7 +26,8 @@ Payoffs are $_k = sum_lmn table[lmn][k] * Tr(P_lmn rho_final), the table
 being one read-only (8, 3) array made and validated by :func:`payoff_table`.
 
 Move encoding: qubit value 0 is Cooperate, 1 is Defect; tensor slots are
-(Alice, Bob, Charlie) left to right, matching the payoff-table outcome labels.
+(Alice, Bob, Charlie) left to right.  Outcome x is the row ``BITS[x]`` of
+:mod:`qpd3.linalg`, whose bits 0 and 1 are also the channel's indices 0 and 3.
 
 Closed form
 -----------
@@ -51,13 +52,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, dephasing_mask, mu_p_factor
-from .linalg import DEFAULT_ATOL, InvariantViolation, check_density_matrix, max_abs
+from .linalg import BITS, DEFAULT_ATOL, FLIP, InvariantViolation, check_density_matrix, max_abs
 
 #: Name of the measurement-basis phase convention in use (see module docstring).
 BASIS_READING = "uniform-plus-i"
 
-#: Outcome labels in index order: bit 0 is Cooperate, bit 1 is Defect.
-OUTCOMES = ("000", "001", "010", "011", "100", "101", "110", "111")
+#: Outcome labels in index order, the rows of BITS: bit 0 is Cooperate, bit 1 is Defect.
+OUTCOMES = tuple("".join(map(str, bits)) for bits in BITS)
 
 PLAYER_NAMES = ("alice", "bob", "charlie")
 #: The players' keys in ``--strategy A:...``, in the same order.
@@ -127,7 +128,7 @@ DEFAULT_TABLE = payoff_table({
 })
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameConfig:
     """A full game instance.
 
@@ -194,7 +195,7 @@ def measurement_projectors(delta: float) -> np.ndarray:
     c = math.cos(delta / 2)
     s = math.sin(delta / 2)
     # Row m is |chi_m>: c on |m> and i s on its complement |7 - m>.
-    vectors = c * np.eye(8) + 1j * s * np.eye(8)[::-1]
+    vectors = c * np.eye(8) + 1j * s * FLIP
     # Construction-time soundness: the eight states must form an orthonormal,
     # complete set for the payoff decomposition to be meaningful.
     projectors = np.einsum("mx,my->mxy", vectors, vectors.conj())
@@ -207,8 +208,8 @@ def measurement_projectors(delta: float) -> np.ndarray:
 
 
 def _coherence_kernel(params: ChannelParams) -> np.ndarray:
-    """K = I + mu_p_factor(params) J, J the anti-identity: the mask on (x, x) and (x, 7 - x)."""
-    return np.eye(8) + mu_p_factor(params) * np.eye(8)[::-1]
+    """K = I + mu_p_factor(params) J, J = FLIP: the mask on (x, x) and (x, 7 - x)."""
+    return np.eye(8) + mu_p_factor(params) * FLIP
 
 
 def conjugated(rho: np.ndarray, strategies) -> np.ndarray:
@@ -285,8 +286,8 @@ def pipeline_payoffs(cfg: GameConfig) -> tuple[float, float, float]:
     return (float(pay[0]), float(pay[1]), float(pay[2]))
 
 
-#: _DEFECTS[x, q] is True when player q defects in outcome x (Alice is the most significant bit).
-_DEFECTS = ((np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1).astype(bool)
+#: _DEFECTS[x, q] is True when player q defects in outcome x.
+_DEFECTS = BITS.astype(bool)
 
 #: phi_x = _PHASE_SIGNS[x] @ (alphas, betas): alpha_q if player q cooperates, else -beta_q.
 _PHASE_SIGNS = np.hstack([~_DEFECTS, -1.0 * _DEFECTS])

@@ -1,10 +1,10 @@
 """Small dense complex linear algebra for states and operators up to 8x8.
 
-Everything is a plain ``numpy.ndarray`` with dtype complex128.  The helpers
-here add the validation this package relies on (finiteness, shape checks, and
-Hermiticity, unit trace and positivity of states, one by one or as a stack) on
-top of numpy's arithmetic.  The only decomposition used is the Hermitian
-eigenvalue solver behind the positivity check; nothing is inverted.
+States and operators are plain complex128 ``numpy.ndarray``s; the helpers add
+the validation this package relies on (finiteness, shape checks, and
+Hermiticity, unit trace and positivity of states, one by one or as a stack).
+The only decomposition is the Hermitian eigenvalue solver of the positivity
+check; nothing is inverted.  The three-qubit index layout, BITS and FLIP, is here.
 """
 
 from __future__ import annotations
@@ -16,6 +16,15 @@ DEFAULT_ATOL = 1e-12
 
 ID2 = np.eye(2, dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+#: The three-qubit index layout: BITS[x, q] is bit q of basis index x, Alice (q = 0) first.
+#: In a move profile 1 is Defect; in a Pauli string 1 is sigma_z and 0 the identity.
+BITS = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
+BITS.flags.writeable = False
+
+#: The 8x8 anti-identity J: it pairs basis index x with its complement 7 - x.
+FLIP = np.eye(8)[::-1]
+FLIP.flags.writeable = False
 
 
 class InvariantViolation(RuntimeError):

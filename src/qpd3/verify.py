@@ -30,12 +30,11 @@ from .game import (
     BASIS_READING,
     COOPERATE,
     DEFECT,
-    OUTCOMES,
     closed_form_payoffs,
     measurement_projectors,
     pipeline_payoffs,
 )
-from .linalg import max_abs, state_defects
+from .linalg import BITS, max_abs, state_defects
 from .presets import HALF_PI
 
 
@@ -72,8 +71,8 @@ def _random_draws(rng: random.Random, count: int) -> tuple[ChannelParams, np.nda
 def check_classical_limit() -> CheckResult:
     """All 8 pure classical profiles reproduce the payoff table exactly."""
     worst = 0.0
-    for x, label in enumerate(OUTCOMES):
-        cfg = presets.classical_config(DEFECT if bit == "1" else COOPERATE for bit in label)
+    for x, bits in enumerate(BITS):
+        cfg = presets.classical_config((COOPERATE, DEFECT)[bit] for bit in bits)
         got = pipeline_payoffs(cfg)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, cfg.payoffs[x])))
     return CheckResult(

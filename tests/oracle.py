@@ -23,6 +23,11 @@ def bit(x, q):
     return (x >> (2 - q)) & 1
 
 
+def players_moved(x, order):
+    """Basis index x with player order[q] moved to slot q."""
+    return sum(bit(x, order[q]) << (2 - q) for q in range(3))
+
+
 def initial_state(gamma):
     ket = [0j] * 8
     ket[0] = complex(math.cos(gamma / 2))

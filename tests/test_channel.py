@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from qpd3 import channel
 from qpd3.channel import (
     ChannelParams,
@@ -279,3 +280,42 @@ def test_channel_functions_broadcast_over_p_and_mu(name, p, mu):
         np.testing.assert_allclose(batch[index], one, rtol=0, atol=1e-15)
     writeable = one.flags.writeable if isinstance(one, np.ndarray) else True
     assert batch.flags.writeable == writeable
+
+
+# ---------------------------------------------------------------------------
+# The index layout of the Pauli strings, and the players' positions on the
+# chain: the weights are a reversible Markov chain, so only the mirror
+# (Alice <-> Charlie) leaves the channel unchanged.
+
+def test_triple_signs_are_popcount_parities():
+    want = [[(-1.0) ** bin(n & x).count("1") for x in range(8)] for n in range(8)]
+    np.testing.assert_array_equal(channel._TRIPLE_SIGNS, want)
+
+
+def test_triple_paulis_are_diagonal_with_the_signs():
+    # built apart, the Pauli strings and the sign table must agree entry for entry
+    want = [np.diag(signs) for signs in channel._TRIPLE_SIGNS]
+    np.testing.assert_array_equal(channel._TRIPLE_PAULIS, want)
+
+
+RANDOM_POINTS = ChannelParams(*np.random.default_rng(11).random((2, 500)))
+
+
+def test_weights_equal_their_mirror():
+    # w_ijk = w_kji: detailed balance of the transition (1 - mu) p_j + mu d_jk
+    weights = channel._triple_weights(RANDOM_POINTS)
+    mirror = [oracle.players_moved(n, (2, 1, 0)) for n in range(8)]
+    assert max_abs(weights - weights[:, mirror]) <= 1e-15
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3)))[1:],
+                         ids=lambda order: "".join("ABC"[q] for q in order))
+def test_mask_is_unchanged_only_by_the_mirror(order):
+    mask = dephasing_mask(RANDOM_POINTS)
+    moved = [oracle.players_moved(x, order) for x in range(8)]
+    change = max_abs(mask - mask[:, moved][:, :, moved])
+    if order == (2, 1, 0):
+        assert change <= 1e-15
+    else:
+        # Alice and Charlie are not neighbours: 0.249 at these points
+        assert change > 0.2

@@ -14,7 +14,6 @@ import pytest
 import oracle
 import qpd3
 from qpd3 import cli, game, verify
-from qpd3.channel import ChannelParams
 from qpd3.cli import main, parse_angle
 
 
@@ -158,11 +157,12 @@ def test_invariant_violation_exits_3(capsys, monkeypatch, bad):
     # validated path must catch it after either channel passage.
     bad_mask = np.full((8, 8), 2.0)
     np.fill_diagonal(bad_mask, 1.0)
-    bad_params = {"passage1": ChannelParams(0.2, 0.0), "passage2": ChannelParams(0.4, 0.0)}[bad]
+    # ChannelParams compare by identity, so the passage is matched by its (p, mu)
+    bad_point = {"passage1": (0.2, 0.0), "passage2": (0.4, 0.0)}[bad]
     original = game.dephasing_mask
     monkeypatch.setattr(
         game, "dephasing_mask",
-        lambda params: bad_mask if params == bad_params else original(params),
+        lambda params: bad_mask if (params.p, params.mu) == bad_point else original(params),
     )
     code, out, err = run_cli(capsys, "payoff", "--p", "0.2", "--p2", "0.4")
     assert code == 3

@@ -68,6 +68,21 @@ def test_game_config_ranges():
         make_config(strategies=(COOPERATE, COOPERATE))
 
 
+def test_outcome_labels_in_index_order():
+    assert OUTCOMES == ("000", "001", "010", "011", "100", "101", "110", "111")
+
+
+def test_configs_compare_and_hash_by_identity():
+    # equal values are not equal configs: array fields have no one truth value
+    grid = ChannelParams(np.linspace(0.0, 1.0, 5), 0.3)
+    assert grid == grid and grid != ChannelParams(np.linspace(0.0, 1.0, 5), 0.3)
+    cfg = make_config(p1=0.2, mu1=0.1)
+    twin = dataclasses.replace(cfg, payoffs=DEFAULT_TABLE.copy())
+    assert cfg == cfg and cfg != twin
+    assert len({grid, cfg, twin, grid, cfg}) == 3
+    assert hash(grid) == hash(grid) and hash(cfg) == hash(cfg)
+
+
 def test_payoff_table_validation():
     with pytest.raises(ValueError, match="missing outcomes"):
         payoff_table({"000": (1, 2, 3)})
@@ -432,17 +447,38 @@ def test_payoffs_within_table_range(gamma, delta, p, mu, s1, s2, s3):
     assert all(-1e-12 <= v <= 5 + 1e-12 for v in pay)
 
 
-@given(
-    st.floats(min_value=0, max_value=HPI, allow_nan=False),
-    st.floats(min_value=0, max_value=HPI, allow_nan=False),
-    unit, unit, strategies_st, strategies_st, strategies_st,
-)
-@settings(max_examples=25, deadline=None)
-def test_alice_bob_swap_symmetry(gamma, delta, p, mu, s1, s2, s3):
-    cfg = make_config(gamma, delta, p, mu, strategies=(s1, s2, s3))
-    swapped = make_config(gamma, delta, p, mu, strategies=(s2, s1, s3))
-    a1, b1, c1 = pipeline_payoffs(cfg)
-    a2, b2, c2 = pipeline_payoffs(swapped)
-    assert a1 == pytest.approx(b2, abs=1e-11)
-    assert b1 == pytest.approx(a2, abs=1e-11)
-    assert c1 == pytest.approx(c2, abs=1e-11)
+def test_player_permutation_covariance():
+    # Move player order[q] to slot q, with the table's outcomes and columns
+    # relabelled to match: both paths give the moved payoffs, although the mask
+    # itself changes under four of the six permutations (see test_channel).
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        cfg = dataclasses.replace(random_generic_config(rng),
+                                  payoffs=rng.uniform(-5.0, 5.0, (8, 3)))
+        want = {path: path(cfg) for path in (game.payoffs, pipeline_payoffs)}
+        for order in itertools.permutations(range(3)):
+            table = np.empty((8, 3))
+            for x in range(8):
+                table[oracle.players_moved(x, order)] = cfg.payoffs[x, list(order)]
+            moved = dataclasses.replace(
+                cfg, strategies=tuple(cfg.strategies[q] for q in order), payoffs=table
+            )
+            for path, pay in want.items():
+                np.testing.assert_allclose(path(moved), [pay[q] for q in order],
+                                           rtol=0, atol=1e-12)
+
+
+def test_only_the_diagonal_and_anti_diagonal_of_a_mask_reach_the_outcomes():
+    # rho_in and every projector live on (x, x) and (x, 7 - x), where a mask is
+    # I + mu_p_factor J; any other entries E leave every probability unchanged,
+    # so no payoff can tell the players' positions on the channel apart
+    rng = np.random.default_rng(37)
+    anti = np.fliplr(np.eye(8))
+    elsewhere = (np.eye(8) + anti) == 0
+    for _ in range(20):
+        cfg = random_generic_config(rng)
+        m1, m2 = (np.eye(8) + mu_p_factor(params) * anti + elsewhere * rng.normal(size=(8, 8))
+                  for params in (cfg.passage1, cfg.passage2))
+        rho3 = m2 * game.conjugated(m1 * initial_state(cfg.gamma), cfg.strategies)
+        probs = np.einsum("mxy,yx->m", measurement_projectors(cfg.delta), rho3).real
+        np.testing.assert_allclose(probs, outcome_probabilities(cfg), rtol=0, atol=1e-12)

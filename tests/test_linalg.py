@@ -1,9 +1,14 @@
-"""Unit tests for the small linear-algebra helpers."""
+"""Unit tests for the small linear-algebra helpers and the three-qubit index layout."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpd3
 from qpd3.linalg import (
+    BITS,
+    FLIP,
     ID2,
     SIGMA_Z,
     InvariantViolation,
@@ -132,3 +137,42 @@ def test_state_defects_values():
     assert neg[1] == pytest.approx(-(1 - 2 * 0.9) / 3)
     assert trace[2] == pytest.approx(0.5)
     assert np.all(valid, axis=0).tolist() == [True, False, False]
+
+
+# ---------------------------------------------------------------------------
+# the three-qubit index layout, defined once
+
+def test_bits_rows_are_the_basis_indices_alice_first():
+    want = [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1],
+            [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
+    assert BITS.shape == (8, 3) and BITS.dtype.kind == "i"
+    assert BITS.tolist() == want
+    assert (BITS @ [4, 2, 1]).tolist() == list(range(8))
+
+
+def test_flip_pairs_each_index_with_its_complement():
+    assert FLIP.shape == (8, 8) and FLIP.dtype == float
+    for x in range(8):
+        assert np.flatnonzero(FLIP[x]).tolist() == [7 - x] and FLIP[x, 7 - x] == 1.0
+    np.testing.assert_array_equal(FLIP @ FLIP, np.eye(8))
+
+
+@pytest.mark.parametrize("name", ["BITS", "FLIP"])
+def test_layout_tables_are_read_only(name):
+    table = {"BITS": BITS, "FLIP": FLIP}[name]
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    with pytest.raises(ValueError):
+        table *= 2
+
+
+def test_layout_is_spelled_only_in_linalg():
+    # every other module takes the index layout from BITS and FLIP
+    modules = [path for path in sorted(Path(qpd3.__file__).parent.glob("*.py"))
+               if path.name != "linalg.py"]
+    assert len(modules) >= 7
+    for path in modules:
+        text = path.read_text(encoding="utf-8")
+        for spelling in ("bin(", "itertools", ">> np.array([2, 1, 0])", "np.eye(8)[::-1]"):
+            assert spelling not in text, f"{path.name} spells the layout itself: {spelling}"
