@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -99,6 +100,18 @@ def sweep(base: GameConfig, variable: str, grid) -> list[tuple[float, float, flo
     return rows
 
 
+def noise_coefficients(cfg: GameConfig) -> np.ndarray:
+    """The (4, 3) rows a, b, c, d of payoff = a + b m1 + c m2 + d m1 m2, one column per player.
+
+    m1, m2 are the passages' mu_p_factor, the noise's one way into a payoff.  Four
+    :func:`~qpd3.game.payoffs` calls give them, at p = 1 (m = 0) and p = 0 (m = 1).
+    """
+    off, on = ChannelParams(1.0, 0.0), ChannelParams(0.0, 0.0)
+    p00, p10, p01, p11 = (np.array(payoffs(replace(cfg, passage1=one, passage2=two)))
+                          for one, two in ((off, off), (on, off), (off, on), (on, on)))
+    return np.array([p00, p10 - p00, p01 - p00, p11 - p10 - p01 + p00])
+
+
 def deviation_payoffs(form: np.ndarray, theta, alpha, beta) -> np.ndarray:
     """vec(u)† form vec(u) for u = strategy_unitary(theta, alpha, beta), broadcast like it.
 
@@ -138,7 +151,8 @@ def first_max(values: np.ndarray) -> tuple[int, float]:
     return int(np.flatnonzero(values >= best - TIE_TOL)[0]), float(best)
 
 
-def exact_best_response(cfg: GameConfig, idx: int, form: np.ndarray | None = None) -> dict:
+def exact_best_response(cfg: GameConfig, idx: int, form: np.ndarray | None = None,
+                        beta_zero: bool = False) -> dict:
     """The best response of the player in slot ``idx`` over all of SU(2), by one 4x4 eigh.
 
     With vec(u) = L q (``_SU2_BASIS``), the payoff is q^T S q for the real
@@ -150,13 +164,19 @@ def exact_best_response(cfg: GameConfig, idx: int, form: np.ndarray | None = Non
     ``cfg.strategies[idx]``.  ``eigen_gap`` is lambda_max minus the next
     eigenvalue; where it is 0 the best response is not unique and
     ``exact_best`` is one of them.  ``form`` is ``deviation_form(cfg, idx)``,
-    built here unless the caller has it.
+    built here unless the caller has it.  With ``beta_zero`` the search is over
+    the beta = 0 plane that :func:`strategy_surface` scans, where Re b = 0 and
+    Im b >= 0, half a sphere in coordinates (0, 1, 3); as q and -q pay the same,
+    the best payoff is lambda_max of S's 3x3 block there (eigenvector: Im b >= 0).
     """
     if form is None:
         form = deviation_form(cfg, idx)
-    eigvals, eigvecs = np.linalg.eigh((_SU2_BASIS.conj().T @ form @ _SU2_BASIS).real)
-    q = eigvecs[:, -1]
-    q = q * np.sign(q[np.argmax(np.abs(q))])  # q and -q give the same payoff
+    coords = [0, 1, 3] if beta_zero else slice(None)
+    s = (_SU2_BASIS.conj().T @ form @ _SU2_BASIS).real
+    eigvals, eigvecs = np.linalg.eigh(s[coords][:, coords])
+    q = np.insert(eigvecs[:, -1], 2, 0.0) if beta_zero else eigvecs[:, -1]
+    # q and -q give the same payoff; on the plane the sign with Im b >= 0
+    q = q * np.sign(q[3] if beta_zero and q[3] else q[np.argmax(np.abs(q))])
     a, b = complex(q[0], q[1]), complex(q[2], q[3])
     angles = (2 * math.atan2(abs(b), abs(a)),
               cmath.phase(a) if a else 0.0,

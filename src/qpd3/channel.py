@@ -59,8 +59,9 @@ class ChannelParams:
 
 
 def completeness_defect(ops: np.ndarray) -> float | np.ndarray:
-    """Max-norm of (sum_k A_k† A_k - I) for each (K, d, d) stack of a (..., K, d, d) array."""
-    gram = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+    """Max-norm of (sum_k A_k† A_k - I), one Gram of the stacked rows, per (K, d, d) stack."""
+    rows = ops.reshape(ops.shape[:-3] + (-1, ops.shape[-1]))
+    gram = rows.conj().swapaxes(-1, -2) @ rows
     return np.abs(gram - np.eye(ops.shape[-1])).max(axis=(-2, -1))
 
 
@@ -97,9 +98,11 @@ def mu_p_factor(params: ChannelParams) -> float | np.ndarray:
 def correlated_triple(params: ChannelParams) -> np.ndarray:
     """The Kraus operators A_ijk, as a read-only (..., 8, 8, 8) stack in index order.
 
+    A real product cast C-ordered: the complex product's bits, reshaped without a copy.
     Completeness, sum A†A = I, is checked at construction, at every point.
     """
-    ops = np.sqrt(_triple_weights(params))[..., None, None] * _TRIPLE_PAULIS
+    roots = np.sqrt(_triple_weights(params))[..., None, None]
+    ops = (roots * _TRIPLE_PAULIS.real).astype(complex, order="C")
     defect = completeness_defect(ops)
     if (defect > DEFAULT_ATOL).any():
         raise InvariantViolation(

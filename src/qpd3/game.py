@@ -133,7 +133,8 @@ class GameConfig:
     """A full game instance.
 
     ``passage1`` is the channel from the arbiter to the players, ``passage2``
-    the channel back; the two are independent.
+    the channel back; the two are independent.  ``payoffs`` other than DEFAULT_TABLE
+    are checked as in :func:`payoff_table` and kept as a read-only copy.
     """
 
     gamma: float
@@ -151,6 +152,12 @@ class GameConfig:
         if len(strategies) != 3 or not all(isinstance(s, StrategyParams) for s in strategies):
             raise ValueError("strategies must be a triple of StrategyParams")
         object.__setattr__(self, "strategies", strategies)
+        if self.payoffs is not DEFAULT_TABLE:
+            table = np.array(self.payoffs, dtype=float)
+            if table.shape != (8, 3) or not np.all(np.abs(table) <= 1e300):
+                raise ValueError("payoffs must be an (8, 3) table of numbers within +-1e300")
+            table.flags.writeable = False
+            object.__setattr__(self, "payoffs", table)
 
 
 def initial_state(gamma: float) -> np.ndarray:

@@ -10,7 +10,6 @@ not necessarily a bug (see the surrounding docstrings).
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +29,7 @@ from .game import (
     BASIS_READING,
     COOPERATE,
     DEFECT,
+    StrategyParams,
     closed_form_payoffs,
     measurement_projectors,
     pipeline_payoffs,
@@ -75,9 +75,8 @@ def check_classical_limit() -> CheckResult:
         cfg = presets.classical_config((COOPERATE, DEFECT)[bit] for bit in bits)
         got = pipeline_payoffs(cfg)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, cfg.payoffs[x])))
-    return CheckResult(
-        "classical_limit_exact", worst <= 1e-12, f"max |payoff err| = {worst:.3e}", "1e-12"
-    )
+    return CheckResult("classical_limit_exact", worst <= 1e-12,
+                       f"max |payoff err| = {worst:.3e}", "1e-12")
 
 
 def check_entangled_anchors() -> CheckResult:
@@ -87,9 +86,8 @@ def check_entangled_anchors() -> CheckResult:
         cfg = presets.entangled_config(0.0, 0.0, strat)
         got = pipeline_payoffs(cfg)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
-    return CheckResult(
-        "entangled_anchors", worst <= 1e-12, f"max |payoff err| = {worst:.3e}", "1e-12"
-    )
+    return CheckResult("entangled_anchors", worst <= 1e-12,
+                       f"max |payoff err| = {worst:.3e}", "1e-12")
 
 
 def check_channel_soundness(seed: int) -> CheckResult:
@@ -99,19 +97,21 @@ def check_channel_soundness(seed: int) -> CheckResult:
     make the channel exactly M o rho; the fast kernel needs M[x, 7 - x] =
     mu_p_factor: both checked on a 21x21 (p, mu) grid, one p row at a time
     with all 21 mu at once.  On 100 random (p, mu, rho) from random.Random(seed), in
-    batches of 20, each M o rho must be a valid state equal to the Kraus sum.
+    batches of 20, each M o rho must be a valid state equal to the Kraus sum,
+    whose largest defect the details give apart from the grid's.
     """
-    worst = 0.0
+    grid_worst = random_worst = 0.0
     grid = np.linspace(0.0, 1.0, 21)
+    off_diagonal = ~np.eye(8, dtype=bool)
     for p in grid:
         params = ChannelParams(p, grid)
         ops = correlated_triple(params)
         diag = np.diagonal(ops, axis1=-2, axis2=-1)
         mask = dephasing_mask(params)
-        worst = max(
-            worst,
+        grid_worst = max(
+            grid_worst,
             max_abs(completeness_defect(ops)),
-            max_abs(ops - diag[..., None] * np.eye(8)),
+            max_abs(ops[..., off_diagonal]),
             max_abs(diag.swapaxes(-1, -2) @ diag.conj() - mask),
             max_abs(np.flip(mask, -1).diagonal(0, -2, -1) - mu_p_factor(params)[:, None]),
         )
@@ -122,15 +122,14 @@ def check_channel_soundness(seed: int) -> CheckResult:
         params, rho = _random_draws(rng, 20)
         out = dephasing_mask(params) * rho
         valid += int(np.all(state_defects(out)[1], axis=0).sum())
-        worst = max(worst, max_abs(out - kraus_sum(correlated_triple(params), rho)))
+        random_worst = max(random_worst, max_abs(out - kraus_sum(correlated_triple(params), rho)))
+    worst = max(grid_worst, random_worst)
     return CheckResult(
-        "channel_trace_preservation",
-        worst <= 1e-12 and valid == 100,
-        f"max defect = {worst:.3e}",
-        "1e-12",
+        "channel_trace_preservation", worst <= 1e-12 and valid == 100,
+        f"max defect = {worst:.3e}", "1e-12",
         "completeness, diagonality, Gram = mask and anti-diagonal = mu_p over 21x21 grid; "
-        f"M o rho a valid state in {valid}/100 random states, equal to the Kraus sum",
-    )
+        f"M o rho a valid state in {valid}/100 random states, equal to the Kraus sum "
+        f"to {random_worst:.3e}")
 
 
 def check_coherence_factor_limits() -> CheckResult:
@@ -141,9 +140,8 @@ def check_coherence_factor_limits() -> CheckResult:
         max_abs(mu_p_factor(ChannelParams(grid, 0.0)) - (1.0 - grid) ** 3),
         max_abs(mu_p_factor(ChannelParams(grid, 1.0)) - (1.0 - grid)),
     )
-    return CheckResult(
-        "coherence_factor_limits", worst <= 1e-12, f"max |err| = {worst:.3e}", "1e-12"
-    )
+    return CheckResult("coherence_factor_limits", worst <= 1e-12,
+                       f"max |err| = {worst:.3e}", "1e-12")
 
 
 def check_p_sweep_qualitative() -> CheckResult:
@@ -185,56 +183,41 @@ def check_p_sweep_qualitative() -> CheckResult:
 
 
 def check_mu_sweep_monotonicity() -> CheckResult:
-    """Payoffs non-decreasing in mu at p=0.3 and p=0.7 under the sweep profile."""
-    grid = analysis.grid_points(0.0, 1.0, 21)
-    worst = math.inf
-    for p in (0.3, 0.7):
-        base = presets.entangled_config(p, 0.0, presets.SWEEP_PROFILE)
-        rows = analysis.sweep(base, "mu", grid)
-        for col in (1, 2, 3):
-            vals = [r[col] for r in rows]
-            worst = min(worst, min(b - a for a, b in zip(vals, vals[1:])))
-    return CheckResult(
-        "mu_sweep_monotonicity",
-        worst >= -1e-12,
-        f"min successive difference = {worst:.3e}",
-        ">= -1e-12",
-    )
+    """Payoffs non-decreasing in mu at p=0.3 and p=0.7 under the sweep profile, exactly.
+
+    With both passages at m = mu_p_factor(p, mu), a payoff is a + (b + c) m + d m^2
+    (:func:`~qpd3.analysis.noise_coefficients`), so its mu slope is (b + c + 2 d m) dm/dmu
+    with dm/dmu >= 0.  The coefficient is linear in m, so its values at m(p, 0) and m(p, 1)
+    certify the claim over all of mu in [0, 1], and with it on any mu grid.
+    """
+    _, b, c, d = analysis.noise_coefficients(
+        presets.entangled_config(0.0, 0.0, presets.SWEEP_PROFILE))
+    m = mu_p_factor(ChannelParams(np.array([[0.3], [0.7]]), np.array([0.0, 1.0])))
+    worst = float((b + c + 2 * d * m[..., None]).min())
+    return CheckResult("mu_sweep_monotonicity", worst >= -1e-12,
+                       f"min slope coefficient b + c + 2 d m = {worst:.3e}", ">= -1e-12",
+                       "exact over mu in [0, 1] at p = 0.3 and 0.7, from the noise coefficients")
 
 
 def check_surface_argmax_invariance() -> CheckResult:
-    """(alpha1, theta1) = (pi/2, pi/2) attains the 41x41 grid maximum.
+    """(alpha1, theta1) = (pi/2, pi/2) maximises Alice's payoff over her beta1 = 0 plane.
 
-    The maximum is attained on an exact ridge (the whole alpha1 = +-pi/2
-    line ties it), so the claim is checked as membership of the claimed
-    point in the maximising set, at every (p, mu) in {0, 0.3, 0.7, 1}^2.
+    At each (p, mu) in {0, 0.3, 0.7, 1}^2 one 3x3 eigh gives the plane's exact maximum
+    (:func:`~qpd3.analysis.exact_best_response` with ``beta_zero``), attained on a ridge that
+    holds the claimed point: it must come within TIE_TOL, which implies the claim on any grid.
     """
     levels = (0.0, 0.3, 0.7, 1.0)
-    failures = []
-    argmaxes = set()
-    for p in levels:
-        for mu in levels:
-            base = presets.entangled_config(p, mu, presets.SURFACE_PROFILE)
-            alphas, thetas, values = analysis.strategy_surface(base, 41)
-            claimed = tuple(
-                int(np.abs(np.subtract(axis, HALF_PI)).argmin()) for axis in (alphas, thetas)
-            )
-            # Transposed, so ties go to the smallest theta1, then the smallest alpha1.
-            flat, best = analysis.first_max(values.T)
-            if best - values[claimed] > analysis.TIE_TOL:
-                failures.append((p, mu))
-            j, i = np.unravel_index(flat, values.T.shape)
-            argmaxes.add((round(float(alphas[i]), 12), round(float(thetas[j]), 12)))
-    passed = not failures
-    measured = f"claimed point maximal at {16 - len(failures)}/16 (p,mu) combos"
-    details = (
-        f"tie-broken argmax location(s): {sorted(argmaxes)}"
-        if passed
-        else f"not maximal at {failures}"
-    )
-    return CheckResult(
-        "surface_argmax_invariance", passed, measured, "max within 1e-12", details
-    )
+    claimed = (StrategyParams(HALF_PI, HALF_PI, 0.0),) + presets.SURFACE_PROFILE[1:]
+    gains = {(p, mu): analysis.exact_best_response(
+        presets.entangled_config(p, mu, claimed), 0, beta_zero=True)["exact_gain"]
+        for p in levels for mu in levels}
+    failures = [point for point, gain in gains.items() if gain > analysis.TIE_TOL]
+    details = (f"not maximal at {failures}" if failures else
+               "exact maximum over the (alpha1, theta1) plane at beta1 = 0 exceeds the "
+               f"claimed point by at most {max(gains.values()):.3e}")
+    return CheckResult("surface_argmax_invariance", not failures,
+                       f"claimed point maximal at {16 - len(failures)}/16 (p,mu) combos",
+                       "max within 1e-12", details)
 
 
 def check_classical_nash() -> CheckResult:
@@ -253,13 +236,9 @@ def check_classical_nash() -> CheckResult:
     expected_gain = 5.0 - 3.0
     passed = (all(g <= analysis.NASH_GAIN_TOL for g in ddd)
               and all(abs(g - expected_gain) <= 1e-12 for g in ccc))
-    measured = (
-        f"all-D gains {tuple(f'{g:.1e}' for g in ddd)}, "
-        f"all-C deviation gain {ccc[0]:.6f}"
-    )
-    return CheckResult(
-        "classical_nash", passed, measured, "gain tol 1e-9; C-deviation = 2 exactly"
-    )
+    measured = f"all-D gains {tuple(f'{g:.1e}' for g in ddd)}, all-C deviation gain {ccc[0]:.6f}"
+    return CheckResult("classical_nash", passed, measured,
+                       "gain tol 1e-9; C-deviation = 2 exactly")
 
 
 def check_closed_form(report_path: Path) -> CheckResult:
@@ -268,12 +247,8 @@ def check_closed_form(report_path: Path) -> CheckResult:
     Also evaluates the sweep profile at p = mu = 0.5 and persists the full
     discrepancy report; agreement there is reported, not asserted.
     """
-    anchors = [
-        presets.classical_config((COOPERATE,) * 3),
-        presets.classical_config((DEFECT,) * 3),
-        presets.entangled_config(0.0, 0.0, (COOPERATE,) * 3),
-        presets.entangled_config(0.0, 0.0, (DEFECT,) * 3),
-    ]
+    anchors = [cfg for moves in ((COOPERATE,) * 3, (DEFECT,) * 3) for cfg in
+               (presets.classical_config(moves), presets.entangled_config(0.0, 0.0, moves))]
     worst = max(
         closed_form_payoffs(cfg, pipeline_payoffs(cfg))["max_abs_discrepancy"] for cfg in anchors
     )
@@ -282,13 +257,9 @@ def check_closed_form(report_path: Path) -> CheckResult:
     report["config"] = "sweep profile, gamma=delta=pi/2, p=mu=0.5"
     Path(report_path).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return CheckResult(
-        "closed_form_agreement",
-        worst <= 1e-9,
-        f"max anchor discrepancy = {worst:.3e}",
-        "1e-9",
+        "closed_form_agreement", worst <= 1e-9, f"max anchor discrepancy = {worst:.3e}", "1e-9",
         f"p=mu=0.5 sweep-profile discrepancy {report['max_abs_discrepancy']:.3e} "
-        f"(report written to {report_path})",
-    )
+        f"(report written to {report_path})")
 
 
 def check_projector_soundness() -> CheckResult:
@@ -296,9 +267,8 @@ def check_projector_soundness() -> CheckResult:
     projs = np.stack([measurement_projectors(float(d)) for d in np.linspace(0.0, HALF_PI, 11)])
     # largest |P_a P_b| entry for every delta and pair (a, b); a != b must vanish
     products = np.abs(projs[:, :, None] @ projs[:, None, :]).max(axis=(-2, -1))
-    worst = max(
-        max_abs(projs.sum(axis=1) - np.eye(8)), max_abs(products[:, ~np.eye(8, dtype=bool)])
-    )
+    worst = max(max_abs(projs.sum(axis=1) - np.eye(8)),
+                max_abs(products[:, ~np.eye(8, dtype=bool)]))
     return CheckResult(
         "projector_soundness", worst <= 1e-12, f"max defect = {worst:.3e}", "1e-12",
         f"basis reading: {BASIS_READING}",

@@ -131,23 +131,51 @@ def test_channel_soundness_counts_each_invalid_state(monkeypatch):
 
 
 def test_surface_argmax_invariance_fails_where_the_claimed_point_loses(monkeypatch):
-    # the claimed (alpha1, theta1) = (pi/2, pi/2) lowered below the grid maximum at one (p, mu)
-    original = analysis.strategy_surface
+    # Alice's form at one (p, mu) less Q_c = eps v v†, v = vec(u) at the claimed
+    # (alpha1, theta1) = (pi/2, pi/2): that point loses 4 eps (|v|^2 = 2), while the
+    # ridge's other points, orthogonal to v, keep the maximum
+    original = analysis.deviation_form
+    v = game.strategy_unitary(np.pi / 2, np.pi / 2, 0.0).reshape(4)
 
-    def lowered(cfg, resolution):
-        alphas, thetas, values = original(cfg, resolution)
+    def lowered(cfg, idx):
+        form = original(cfg, idx)
         if (cfg.passage1.p, cfg.passage1.mu) == (0.3, 0.7):
-            values = values.copy()
-            claimed = tuple(np.abs(np.subtract(x, np.pi / 2)).argmin() for x in (alphas, thetas))
-            values[claimed] -= 1e-6
-        return alphas, thetas, values
+            form = form - 1e-6 * np.outer(v, v.conj())
+        return form
 
-    monkeypatch.setattr(analysis, "strategy_surface", lowered)
+    monkeypatch.setattr(analysis, "deviation_form", lowered)
     res = verify.check_surface_argmax_invariance()
     print(res.line())
     assert not res.passed
     assert "maximal at 15/16" in res.measured
     assert "not maximal at [(0.3, 0.7)]" in res.details
+
+
+def test_mu_sweep_monotonicity_fails_on_a_negative_slope_coefficient(monkeypatch):
+    # Bob's b lowered: his slope coefficient b + c + 2 d m turns negative
+    original = analysis.noise_coefficients
+
+    def lowered(cfg):
+        coefficients = original(cfg)
+        coefficients[1, 1] -= 1e-6
+        return coefficients
+
+    monkeypatch.setattr(analysis, "noise_coefficients", lowered)
+    res = verify.check_mu_sweep_monotonicity()
+    print(res.line())
+    assert not res.passed
+    assert "min slope coefficient b + c + 2 d m = -1.000e-06" in res.measured
+
+
+def test_surface_and_memory_checks_run_no_grid(monkeypatch):
+    # both checks are exact; a surface or a sweep brought back into them fails here
+    def refused(*args, **kwargs):
+        raise AssertionError("grid evaluation called")
+
+    monkeypatch.setattr(analysis, "strategy_surface", refused)
+    monkeypatch.setattr(analysis, "sweep", refused)
+    _run(verify.check_surface_argmax_invariance())
+    _run(verify.check_mu_sweep_monotonicity())
 
 
 GRID = np.linspace(0.0, 1.0, 21)

@@ -14,9 +14,11 @@ from qpd3.analysis import (
     first_max,
     grid_points,
     nash_check,
+    noise_coefficients,
     strategy_surface,
     sweep,
 )
+from qpd3.channel import ChannelParams, mu_p_factor
 from qpd3.game import COOPERATE, DEFECT, OUTCOMES, StrategyParams, payoff_table, payoffs
 from test_kernel import oracle_payoffs, random_config, random_table, with_deviation
 
@@ -305,3 +307,61 @@ def test_exact_eigen_gap_is_zero_on_classical_games():
             # defection dominates, so it is a best response
             defects = dataclasses.replace(cfg, strategies=with_deviation(moves, idx, DEFECT))
             assert res["exact_payoff"] == pytest.approx(payoffs(defects)[idx], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Exact structure: the noise coefficients and the beta = 0 plane's maximum.
+
+def test_noise_coefficients_match_the_oracle():
+    # payoff = a + b m1 + c m2 + d m1 m2 at random passages, m = mu_p_factor
+    rng = np.random.default_rng(5)
+    for seed in range(12):
+        cfg = generic_config(seed)
+        a, b, c, d = noise_coefficients(cfg)
+        for _ in range(3):
+            one, two = ChannelParams(*rng.random(2)), ChannelParams(*rng.random(2))
+            m1, m2 = mu_p_factor(one), mu_p_factor(two)
+            moved = dataclasses.replace(cfg, passage1=one, passage2=two)
+            np.testing.assert_allclose(a + b * m1 + c * m2 + d * m1 * m2,
+                                       oracle_payoffs(moved, moved.strategies), rtol=0, atol=1e-12)
+
+
+def test_noise_coefficients_b_and_c_vanish_at_full_entanglement():
+    for seed in range(30):
+        coefficients = noise_coefficients(
+            dataclasses.replace(generic_config(seed), gamma=HPI, delta=HPI))
+        assert coefficients.shape == (4, 3)
+        assert np.abs(coefficients[1:3]).max() <= 1e-12
+
+
+def check_beta_zero_maximum(cfg):
+    """The beta = 0 maximum is attained in the oracle and bounds the 41x41 surface."""
+    assert cfg.strategies[0].beta == 0.0  # the surface scans Alice's plane at her beta
+    res = exact_best_response(cfg, 0, beta_zero=True)
+    theta, alpha, beta = res["exact_best"]
+    assert beta == 0.0 and math.copysign(1.0, beta) == 1.0
+    best = StrategyParams(theta, alpha, beta)
+    got = oracle_payoffs(cfg, with_deviation(cfg.strategies, 0, best))[0]
+    assert got == pytest.approx(res["exact_payoff"], abs=1e-12)
+    assert res["exact_payoff"] >= strategy_surface(cfg, 41)[2].max() - 1e-12
+    assert res["exact_payoff"] <= exact_best_response(cfg, 0)["exact_payoff"] + 1e-12
+    assert res["eigen_gap"] >= 0.0
+    return res
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+def test_beta_zero_maximum_at_the_surface_checks_points(p, mu):
+    cfg = surface_config(p, mu)
+    res = check_beta_zero_maximum(cfg)
+    # the claimed (alpha1, theta1) = (pi/2, pi/2) attains it
+    claimed = with_deviation(cfg.strategies, 0, StrategyParams(HPI, HPI, 0.0))
+    assert oracle_payoffs(cfg, claimed)[0] == pytest.approx(res["exact_payoff"], abs=1e-12)
+
+
+def test_beta_zero_maximum_on_generic_games():
+    for seed in range(12):
+        cfg = generic_config(seed)
+        alice = dataclasses.replace(cfg.strategies[0], beta=0.0)
+        check_beta_zero_maximum(
+            dataclasses.replace(cfg, strategies=(alice,) + cfg.strategies[1:]))

@@ -238,6 +238,37 @@ def test_kraus_sum_matches_explicit_sum():
         np.testing.assert_allclose(kraus_sum(ops, rho), want, rtol=0, atol=1e-15)
 
 
+#: (p, mu) batches the Kraus kernels run on: the 21x21 grid, and stacked random points
+KERNEL_BATCHES = {
+    "21x21-grid": ChannelParams(*np.meshgrid(np.linspace(0.0, 1.0, 21),
+                                             np.linspace(0.0, 1.0, 21), indexing="ij")),
+    "random-3x5": ChannelParams(*np.random.default_rng(6).random((2, 3, 5))),
+}
+
+
+@pytest.mark.parametrize("batch", sorted(KERNEL_BATCHES))
+def test_constructor_equals_the_complex_product_bitwise(batch):
+    # the real product cast to complex, against the complex product, signs of zero included
+    params = KERNEL_BATCHES[batch]
+    ops = correlated_triple(params)
+    want = np.sqrt(channel._triple_weights(params))[..., None, None] * channel._TRIPLE_PAULIS
+    assert ops.dtype == np.complex128 and ops.shape == want.shape
+    assert ops.tobytes() == want.tobytes()
+    assert ops.flags.c_contiguous and not ops.flags.writeable
+
+
+@pytest.mark.parametrize("batch", sorted(KERNEL_BATCHES))
+def test_stacked_completeness_defect_equals_the_per_operator_sum(batch):
+    ops = correlated_triple(KERNEL_BATCHES[batch])
+    # a defect that is not rounding: every operator scaled by its own factor
+    for stack in (ops, ops * np.linspace(0.9, 1.1, 8)[:, None, None]):
+        want = np.zeros(stack.shape[:-3])
+        for index in np.ndindex(want.shape):
+            acc = sum(op.conj().T @ op for op in stack[index])
+            want[index] = np.abs(acc - np.eye(8)).max()
+        np.testing.assert_allclose(completeness_defect(stack), want, rtol=0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Broadcasting: array fields of ChannelParams stand for a (p, mu) grid, and
 # every channel function must equal its per-point call on that grid.

@@ -68,6 +68,25 @@ def test_game_config_ranges():
         make_config(strategies=(COOPERATE, COOPERATE))
 
 
+def test_game_config_validates_and_copies_custom_tables():
+    bad = {"nan": np.full((8, 3), np.nan), "inf": np.where(np.eye(8, 3), np.inf, 1.0),
+           "(7, 3)": np.ones((7, 3)), "(8, 2)": np.ones((8, 2)), "huge": np.full((8, 3), 1e301)}
+    off = ChannelParams(0.0, 0.0)
+    for table in bad.values():
+        with pytest.raises(ValueError, match=r"payoffs must be an \(8, 3\) table"):
+            GameConfig(HPI, HPI, off, off, (COOPERATE,) * 3, table)
+    # the caller's array is copied: changing it afterwards leaves the config alone
+    table = np.array(DEFAULT_TABLE)
+    cfg = dataclasses.replace(make_config(p1=0.3, mu1=0.2), payoffs=table)
+    before = game.payoffs(cfg)
+    table[:] = 2.0
+    assert game.payoffs(cfg) == before and pipeline_payoffs(cfg) == pytest.approx(before)
+    assert cfg.payoffs is not table and not cfg.payoffs.flags.writeable
+    assert cfg.payoffs.dtype == np.float64
+    # the built-in table is kept as it is, with no copy
+    assert dataclasses.replace(cfg, payoffs=DEFAULT_TABLE).payoffs is DEFAULT_TABLE
+
+
 def test_outcome_labels_in_index_order():
     assert OUTCOMES == ("000", "001", "010", "011", "100", "101", "110", "111")
 
