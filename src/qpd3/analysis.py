@@ -137,7 +137,7 @@ def strategy_surface(base: GameConfig, resolution: int) -> tuple[tuple, tuple, n
     thetas = grid_points(0.0, math.pi, resolution)
     form = deviation_form(base, 0)
     a, t = np.meshgrid(alphas, thetas, indexing="ij")
-    return alphas, thetas, deviation_payoffs(form, t, a, base.strategies[0].beta)
+    return alphas, thetas, deviation_payoffs(form, t, a, base.strategies[0, 2])
 
 
 def first_max(values: np.ndarray) -> tuple[int, float]:
@@ -181,13 +181,11 @@ def exact_best_response(cfg: GameConfig, idx: int, form: np.ndarray | None = Non
     angles = (2 * math.atan2(abs(b), abs(a)),
               cmath.phase(a) if a else 0.0,
               cmath.phase(b / 1j) if b else 0.0)
-    claimed = cfg.strategies[idx]
     best = float(eigvals[-1])
     return {
         "exact_best": [x + 0.0 for x in angles],  # + 0.0 prints -0.0 as 0.0
         "exact_payoff": best,
-        "exact_gain": best - float(
-            deviation_payoffs(form, claimed.theta, claimed.alpha, claimed.beta)),
+        "exact_gain": best - float(deviation_payoffs(form, *cfg.strategies[idx])),
         "eigen_gap": float(eigvals[-1] - eigvals[-2]),
     }
 
@@ -218,8 +216,7 @@ def best_response(cfg: GameConfig, idx: int, resolution: int = 25) -> dict:
     flat, best_val = first_max(values)
     i, j, k = np.unravel_index(flat, values.shape)
 
-    claimed = cfg.strategies[idx]
-    at_claimed = float(deviation_payoffs(form, claimed.theta, claimed.alpha, claimed.beta))
+    at_claimed = float(deviation_payoffs(form, *cfg.strategies[idx]))
     return {
         "player": PLAYER_NAMES[idx],
         "grid_resolution": resolution,

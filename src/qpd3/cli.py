@@ -26,7 +26,7 @@ from .game import (
     PLAYER_KEYS,
     PLAYER_NAMES,
     GameConfig,
-    StrategyParams,
+    check_moves,
     closed_form_payoffs,
     outcome_probabilities,
     payoff_table,
@@ -79,18 +79,19 @@ def parse_grid(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
 
 
-def parse_triple(text: str) -> StrategyParams:
-    """Parse 'theta,alpha,beta' with angle shorthands."""
+def parse_triple(text: str) -> tuple[float, float, float]:
+    """Parse 'theta,alpha,beta' with angle shorthands into a range-checked move."""
     parts = str(text).split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"strategy must be theta,alpha,beta, got {text!r}"
         )
-    theta, alpha, beta = (parse_angle(p) for p in parts)
+    move = tuple(parse_angle(p) for p in parts)
     try:
-        return StrategyParams(theta, alpha, beta)
+        check_moves([move])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    return move
 
 
 def parse_seed(text: str) -> int:
@@ -104,7 +105,7 @@ def parse_seed(text: str) -> int:
     return val
 
 
-def parse_player_strategy(text: str) -> tuple[str, StrategyParams]:
+def parse_player_strategy(text: str) -> tuple[str, tuple[float, float, float]]:
     """Parse 'A:theta,alpha,beta' (player key A, B or C)."""
     key, sep, rest = str(text).partition(":")
     if not sep or key.upper() not in PLAYER_KEYS:
@@ -161,7 +162,8 @@ def _config_from(args, strategies=None, p=None, mu=None) -> GameConfig:
         if given.count(key) > 1:
             raise ValueError(f"--strategy {key}:... is given more than once; "
                              "each player takes one strategy")
-    profile = dict(zip(PLAYER_KEYS, strategies or (COOPERATE,) * 3), **dict(args.strategy or []))
+    strategies = (COOPERATE,) * 3 if strategies is None else strategies
+    profile = dict(zip(PLAYER_KEYS, strategies), **dict(args.strategy or []))
     p = args.p if args.p is not None else p or 0.0
     mu = args.mu if args.mu is not None else mu or 0.0
     p2 = p if args.p2 is None else args.p2

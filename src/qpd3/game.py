@@ -65,25 +65,21 @@ PLAYER_NAMES = ("alice", "bob", "charlie")
 PLAYER_KEYS = ("A", "B", "C")
 
 
-@dataclass(frozen=True)
-class StrategyParams:
-    """One player's move: theta in [0, pi], alpha and beta in [-pi, pi]."""
-
-    theta: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.theta) and 0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta must be in [0, pi], got {self.theta}")
-        for name, val in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (np.isfinite(val) and -math.pi <= val <= math.pi):
-                raise ValueError(f"{name} must be in [-pi, pi], got {val}")
+def check_moves(moves) -> None:
+    """Refuse the first (theta, alpha, beta) in ``moves`` outside theta in [0, pi] and
+    alpha, beta in [-pi, pi], checked in that order; NaN is outside."""
+    for theta, alpha, beta in moves:
+        if not 0.0 <= theta <= math.pi:
+            raise ValueError(f"theta must be in [0, pi], got {theta}")
+        if not -math.pi <= alpha <= math.pi:
+            raise ValueError(f"alpha must be in [-pi, pi], got {alpha}")
+        if not -math.pi <= beta <= math.pi:
+            raise ValueError(f"beta must be in [-pi, pi], got {beta}")
 
 
-#: The two classical moves as strategy parameters.
-COOPERATE = StrategyParams(0.0, 0.0, 0.0)
-DEFECT = StrategyParams(math.pi, 0.0, 0.0)
+#: The two classical moves as read-only (theta, alpha, beta) rows.
+COOPERATE, DEFECT = np.array([[0.0, 0.0, 0.0], [math.pi, 0.0, 0.0]])
+COOPERATE.flags.writeable = DEFECT.flags.writeable = False
 
 
 def _is_number(x) -> bool:
@@ -133,30 +129,36 @@ class GameConfig:
     """A full game instance.
 
     ``passage1`` is the channel from the arbiter to the players, ``passage2``
-    the channel back; the two are independent.  ``payoffs`` other than DEFAULT_TABLE
-    are checked as in :func:`payoff_table` and kept as a read-only copy.
+    the channel back; the two are independent.  ``strategies``, the players'
+    (theta, alpha, beta) rows, and ``payoffs`` other than DEFAULT_TABLE are
+    checked (:func:`check_moves`, :func:`payoff_table`) and kept as read-only copies.
     """
 
     gamma: float
     delta: float
     passage1: ChannelParams
     passage2: ChannelParams
-    strategies: tuple[StrategyParams, StrategyParams, StrategyParams]
+    strategies: np.ndarray
     payoffs: np.ndarray = field(default_factory=lambda: DEFAULT_TABLE)
 
     def __post_init__(self):
         for name, val in (("gamma", self.gamma), ("delta", self.delta)):
-            if not (np.isfinite(val) and 0.0 <= val <= math.pi / 2):
+            if not 0.0 <= val <= math.pi / 2:
                 raise ValueError(f"{name} must be in [0, pi/2], got {val}")
-        strategies = tuple(self.strategies)
-        if len(strategies) != 3 or not all(isinstance(s, StrategyParams) for s in strategies):
-            raise ValueError("strategies must be a triple of StrategyParams")
-        object.__setattr__(self, "strategies", strategies)
+        try:
+            moves = np.array(self.strategies, dtype=float)
+        except (TypeError, ValueError):
+            moves = np.empty(0)  # ragged, or not numbers: refused below
+        if moves.shape != (3, 3):
+            raise ValueError("strategies must be 3 (theta, alpha, beta) rows of numbers")
+        check_moves(moves.tolist())
+        moves.setflags(write=False)
+        object.__setattr__(self, "strategies", moves)
         if self.payoffs is not DEFAULT_TABLE:
             table = np.array(self.payoffs, dtype=float)
             if table.shape != (8, 3) or not np.all(np.abs(table) <= 1e300):
                 raise ValueError("payoffs must be an (8, 3) table of numbers within +-1e300")
-            table.flags.writeable = False
+            table.setflags(write=False)
             object.__setattr__(self, "payoffs", table)
 
 
@@ -174,7 +176,7 @@ def strategy_unitary(theta, alpha, beta) -> np.ndarray:
     """The 2x2 unitaries for (theta, alpha, beta), broadcast over array arguments.
 
     Returns an array of shape ``broadcast_shape + (2, 2)``; scalar angles
-    give one 2x2 matrix.  Ranges are validated by :class:`StrategyParams`.
+    give one 2x2 matrix.  Ranges are validated by :func:`check_moves`.
     """
     half = np.multiply(theta, 0.5)
     diag = np.exp(np.multiply(alpha, 1j)) * np.cos(half)
@@ -220,8 +222,8 @@ def _coherence_kernel(params: ChannelParams) -> np.ndarray:
 
 
 def conjugated(rho: np.ndarray, strategies) -> np.ndarray:
-    """U rho U† for the profile unitary U = u_A x u_B x u_C of ``strategies``."""
-    a, b, c = strategy_unitary(*np.array([(s.theta, s.alpha, s.beta) for s in strategies]).T)
+    """U rho U† for the profile unitary U = u_A x u_B x u_C of the (3, 3) ``strategies``."""
+    a, b, c = strategy_unitary(*strategies.T)
     ab = (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
     u = (ab[:, None, :, None] * c[None, :, None, :]).reshape(8, 8)
     return u @ rho @ u.conj().T
@@ -259,8 +261,9 @@ def deviation_form(cfg: GameConfig, idx: int) -> np.ndarray:
     other two qubits o and p.
     """
     rho1, observables = _state_and_observables(cfg)
-    rest = conjugated(rho1, tuple(COOPERATE if q == idx else s
-                                  for q, s in enumerate(cfg.strategies)))
+    profile = cfg.strategies.copy()
+    profile[idx] = COOPERATE
+    rest = conjugated(rho1, profile)
     w, r = (np.moveaxis(x.reshape((2,) * 6), (idx, idx + 3), (0, 3)).reshape(2, 4, 2, 4)
             for x in (observables[idx], rest))
     return np.einsum("doap,bpco->dcab", w, r).reshape(4, 4)
@@ -330,9 +333,7 @@ def closed_form_payoffs(cfg: GameConfig, pipeline) -> dict:
     eta1 = cos(g / 2) ** 2 * cos(d / 2) ** 2 + sin(g / 2) ** 2 * sin(d / 2) ** 2
     eta2 = sin(g / 2) ** 2 * cos(d / 2) ** 2 + sin(d / 2) ** 2 * cos(g / 2) ** 2
     xi = 0.5 * sin(d) * sin(g)
-    (t1, a1, b1), (t2, a2, b2), (t3, a3, b3) = (
-        (s.theta, s.alpha, s.beta) for s in cfg.strategies
-    )
+    (t1, a1, b1), (t2, a2, b2), (t3, a3, b3) = cfg.strategies.tolist()
     c = [cos(t / 2) ** 2 for t in (t1, t2, t3)]
     s = [sin(t / 2) ** 2 for t in (t1, t2, t3)]
     table = cfg.payoffs

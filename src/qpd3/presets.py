@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .channel import ChannelParams
-from .game import GameConfig, StrategyParams
+from .game import GameConfig
 
 HALF_PI = math.pi / 2
 
 #: Strategies for the decoherence/memory sweeps (quantum player: Charlie).
-SWEEP_PROFILE = (
-    StrategyParams(HALF_PI, 0.0, 0.0),
-    StrategyParams(HALF_PI, 0.0, 0.0),
-    StrategyParams(HALF_PI, HALF_PI, HALF_PI),
-)
+SWEEP_PROFILE = np.array([(HALF_PI, 0.0, 0.0)] * 2 + [(HALF_PI, HALF_PI, HALF_PI)])
 
 #: Strategies for the Alice (alpha1, theta1) surface scan.
-SURFACE_PROFILE = (StrategyParams(HALF_PI, 0.0, 0.0),) * 3
+SURFACE_PROFILE = np.array([(HALF_PI, 0.0, 0.0)] * 3)
+SWEEP_PROFILE.flags.writeable = SURFACE_PROFILE.flags.writeable = False
 
 #: figure -> (swept variable or None, p, mu, default profile): sweeps fig2 and
 #: fig3 leave the swept value None, surfaces fig4 and fig5 sweep nothing.

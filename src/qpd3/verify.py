@@ -29,7 +29,6 @@ from .game import (
     BASIS_READING,
     COOPERATE,
     DEFECT,
-    StrategyParams,
     closed_form_payoffs,
     measurement_projectors,
     pipeline_payoffs,
@@ -72,7 +71,7 @@ def check_classical_limit() -> CheckResult:
     """All 8 pure classical profiles reproduce the payoff table exactly."""
     worst = 0.0
     for x, bits in enumerate(BITS):
-        cfg = presets.classical_config((COOPERATE, DEFECT)[bit] for bit in bits)
+        cfg = presets.classical_config(bits[:, None] * DEFECT)
         got = pipeline_payoffs(cfg)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, cfg.payoffs[x])))
     return CheckResult("classical_limit_exact", worst <= 1e-12,
@@ -207,7 +206,7 @@ def check_surface_argmax_invariance() -> CheckResult:
     holds the claimed point: it must come within TIE_TOL, which implies the claim on any grid.
     """
     levels = (0.0, 0.3, 0.7, 1.0)
-    claimed = (StrategyParams(HALF_PI, HALF_PI, 0.0),) + presets.SURFACE_PROFILE[1:]
+    claimed = np.vstack([(HALF_PI, HALF_PI, 0.0), presets.SURFACE_PROFILE[1:]])
     gains = {(p, mu): analysis.exact_best_response(
         presets.entangled_config(p, mu, claimed), 0, beta_zero=True)["exact_gain"]
         for p in levels for mu in levels}
@@ -277,8 +276,7 @@ def check_projector_soundness() -> CheckResult:
 
 def run_all(seed: int, report_path: Path) -> list[CheckResult]:
     """Run every acceptance check in order; ``report_path`` takes the closed-form report
-    and is opened first, so an unwritable path fails before any check runs."""
-    Path(report_path).parent.mkdir(parents=True, exist_ok=True)
+    and is opened first, so an unwritable path or a missing directory fails before any check."""
     open(report_path, "a", encoding="utf-8").close()
     return [
         check_classical_limit(),

@@ -19,7 +19,7 @@ from qpd3.analysis import (
     sweep,
 )
 from qpd3.channel import ChannelParams, mu_p_factor
-from qpd3.game import COOPERATE, DEFECT, OUTCOMES, StrategyParams, payoff_table, payoffs
+from qpd3.game import COOPERATE, DEFECT, OUTCOMES, payoff_table, payoffs
 from test_kernel import oracle_payoffs, random_config, random_table, with_deviation
 
 HPI = math.pi / 2
@@ -51,8 +51,8 @@ def test_sweep_and_surface_argument_checks():
     alphas, thetas, values = strategy_surface(base, 1)
     assert (alphas, thetas) == ((-math.pi,), (0.0,))
     assert values.shape == (1, 1)
-    alice = StrategyParams(0.0, -math.pi, base.strategies[0].beta)
-    want = payoffs(dataclasses.replace(base, strategies=(alice,) + base.strategies[1:]))[0]
+    alice = with_deviation(base.strategies, 0, (0.0, -math.pi, base.strategies[0, 2]))
+    want = payoffs(dataclasses.replace(base, strategies=alice))[0]
     assert values[0, 0] == pytest.approx(want, abs=1e-12)
 
 
@@ -111,8 +111,8 @@ def test_surface_grid_contract_and_order():
     # entry [i, j] is Alice's payoff at (alphas[i], thetas[j])
     for i, a in enumerate(alphas):
         for j, t in enumerate(thetas):
-            alice = StrategyParams(t, a, cfg.strategies[0].beta)
-            want = payoffs(dataclasses.replace(cfg, strategies=(alice,) + cfg.strategies[1:]))[0]
+            alice = with_deviation(cfg.strategies, 0, (t, a, cfg.strategies[0, 2]))
+            want = payoffs(dataclasses.replace(cfg, strategies=alice))[0]
             assert values[i, j] == pytest.approx(want, abs=1e-12)
 
 
@@ -137,8 +137,8 @@ def test_surface_argmax_tiebreak_deterministic():
 
 
 def test_best_response_noiseless_claim_is_grid_optimal():
-    claimed = StrategyParams(HPI, HPI, 0.0)
-    cfg = presets.entangled_config(0.0, 0.0, (claimed,) + presets.SURFACE_PROFILE[1:])
+    claimed = with_deviation(presets.SURFACE_PROFILE, 0, (HPI, HPI, 0.0))
+    cfg = presets.entangled_config(0.0, 0.0, claimed)
     res = best_response(cfg, 0, resolution=25)
     assert list(res) == ["player", "grid_resolution", "best", "best_payoff",
                          "payoff_at_claimed", "gain_over_claimed",
@@ -150,8 +150,8 @@ def test_best_response_noiseless_claim_is_grid_optimal():
 
 
 def test_best_response_claim_stays_optimal_under_noise():
-    claimed = StrategyParams(HPI, HPI, 0.0)
-    cfg = presets.entangled_config(0.7, 1.0, (claimed,) + presets.SURFACE_PROFILE[1:])
+    claimed = with_deviation(presets.SURFACE_PROFILE, 0, (HPI, HPI, 0.0))
+    cfg = presets.entangled_config(0.7, 1.0, claimed)
     res = best_response(cfg, 0, resolution=25)
     assert res["gain_over_claimed"] <= 1e-9
 
@@ -173,7 +173,7 @@ def test_best_response_degenerate_grid():
 
 
 def test_best_response_refinement_never_decreases():
-    cfg = presets.entangled_config(0.4, 0.2, presets.SURFACE_PROFILE[:2] + (COOPERATE,))
+    cfg = presets.entangled_config(0.4, 0.2, with_deviation(presets.SURFACE_PROFILE, 2, COOPERATE))
     coarse = best_response(cfg, 2, resolution=5)
     fine = best_response(cfg, 2, resolution=9)
     assert fine["best_payoff"] >= coarse["best_payoff"] - 1e-12
@@ -218,7 +218,7 @@ def test_nash_check_classical_limit():
 
 
 def test_nash_check_reports_gains_for_quantum_profile():
-    profile = (StrategyParams(HPI, HPI, 0.0),) * 3
+    profile = ((HPI, HPI, 0.0),) * 3
     res = nash_check(presets.entangled_config(0.0, 0.0, profile), resolution=9)
     assert len(res["gains"]) == 3
     assert all(np.isfinite(res["gains"]))
@@ -241,15 +241,15 @@ def test_exact_best_response_attains_its_payoff_in_the_oracle():
         for idx in range(3):
             res = exact_best_response(cfg, idx)
             assert list(res) == ["exact_best", "exact_payoff", "exact_gain", "eigen_gap"]
-            best = StrategyParams(*res["exact_best"])
+            theta, alpha, beta = best = res["exact_best"]
             got = oracle_payoffs(cfg, with_deviation(cfg.strategies, idx, best))[idx]
             assert got == pytest.approx(res["exact_payoff"], abs=1e-12)
             assert res["exact_gain"] == pytest.approx(
                 res["exact_payoff"] - at_claimed[idx], abs=1e-12)
             assert res["eigen_gap"] >= 0.0
             # of the two signs of the eigenvector, the one whose largest entry is positive
-            a = np.exp(1j * best.alpha) * math.cos(best.theta / 2)
-            b = 1j * np.exp(1j * best.beta) * math.sin(best.theta / 2)
+            a = np.exp(1j * alpha) * math.cos(theta / 2)
+            b = 1j * np.exp(1j * beta) * math.sin(theta / 2)
             q = np.array([a.real, a.imag, b.real, b.imag])
             assert q[np.argmax(np.abs(q))] > 0.0
 
@@ -336,12 +336,11 @@ def test_noise_coefficients_b_and_c_vanish_at_full_entanglement():
 
 def check_beta_zero_maximum(cfg):
     """The beta = 0 maximum is attained in the oracle and bounds the 41x41 surface."""
-    assert cfg.strategies[0].beta == 0.0  # the surface scans Alice's plane at her beta
+    assert cfg.strategies[0, 2] == 0.0  # the surface scans Alice's plane at her beta
     res = exact_best_response(cfg, 0, beta_zero=True)
     theta, alpha, beta = res["exact_best"]
     assert beta == 0.0 and math.copysign(1.0, beta) == 1.0
-    best = StrategyParams(theta, alpha, beta)
-    got = oracle_payoffs(cfg, with_deviation(cfg.strategies, 0, best))[0]
+    got = oracle_payoffs(cfg, with_deviation(cfg.strategies, 0, res["exact_best"]))[0]
     assert got == pytest.approx(res["exact_payoff"], abs=1e-12)
     assert res["exact_payoff"] >= strategy_surface(cfg, 41)[2].max() - 1e-12
     assert res["exact_payoff"] <= exact_best_response(cfg, 0)["exact_payoff"] + 1e-12
@@ -355,13 +354,13 @@ def test_beta_zero_maximum_at_the_surface_checks_points(p, mu):
     cfg = surface_config(p, mu)
     res = check_beta_zero_maximum(cfg)
     # the claimed (alpha1, theta1) = (pi/2, pi/2) attains it
-    claimed = with_deviation(cfg.strategies, 0, StrategyParams(HPI, HPI, 0.0))
+    claimed = with_deviation(cfg.strategies, 0, (HPI, HPI, 0.0))
     assert oracle_payoffs(cfg, claimed)[0] == pytest.approx(res["exact_payoff"], abs=1e-12)
 
 
 def test_beta_zero_maximum_on_generic_games():
     for seed in range(12):
         cfg = generic_config(seed)
-        alice = dataclasses.replace(cfg.strategies[0], beta=0.0)
-        check_beta_zero_maximum(
-            dataclasses.replace(cfg, strategies=(alice,) + cfg.strategies[1:]))
+        profile = cfg.strategies.copy()
+        profile[0, 2] = 0.0  # Alice's beta
+        check_beta_zero_maximum(dataclasses.replace(cfg, strategies=profile))

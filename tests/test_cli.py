@@ -417,15 +417,18 @@ def test_oversized_grids_are_refused(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--var", "p", "--grid", "0:1:2", "--out", "{tmp}/missing/x.csv"],
     ["verify", "--report", "{tmp}"],
+    ["verify", "--report", "{tmp}/missing/x.json"],
 ])
 def test_unwritable_output_is_an_error(capsys, tmp_path, monkeypatch, argv):
-    # refused before any work: verify runs none of its checks
+    # refused before any work: verify runs none of its checks, and no
+    # missing directory is created
     calls = []
     monkeypatch.setattr(verify, "check_classical_limit", lambda: calls.append(1))
     code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == "" and calls == []
     assert err.startswith("error: ") and str(tmp_path) in err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("cmd", ["payoff", "sweep", "surface", "best-response",

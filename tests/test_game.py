@@ -1,24 +1,26 @@
 """Tests for the game pipeline, closed form and payoff table."""
 
+import argparse
 import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from qpd3 import game
+from qpd3 import game, presets
 from qpd3.channel import ChannelParams
+from qpd3.cli import parse_triple
 from qpd3.game import (
     COOPERATE,
     DEFAULT_TABLE,
     DEFECT,
     GameConfig,
     OUTCOMES,
-    StrategyParams,
     closed_form_payoffs,
     initial_state,
     measurement_projectors,
@@ -35,7 +37,7 @@ HPI = math.pi / 2
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 thetas = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-strategies_st = st.builds(StrategyParams, thetas, angles, angles)
+strategies_st = st.tuples(thetas, angles, angles)
 
 
 def make_config(gamma=HPI, delta=HPI, p1=0.0, mu1=0.0, p2=None, mu2=None, strategies=None):
@@ -50,22 +52,75 @@ def make_config(gamma=HPI, delta=HPI, p1=0.0, mu1=0.0, p2=None, mu2=None, strate
 # ---------------------------------------------------------------------------
 # parameter validation
 
-def test_strategy_params_ranges():
-    with pytest.raises(ValueError):
-        StrategyParams(-0.1, 0, 0)
-    with pytest.raises(ValueError):
-        StrategyParams(0.5, 3.5, 0)
-    with pytest.raises(ValueError):
-        StrategyParams(0.5, 0, -3.5)
-
-
 def test_game_config_ranges():
     with pytest.raises(ValueError):
         make_config(gamma=2.0)
     with pytest.raises(ValueError):
         make_config(delta=-0.1)
-    with pytest.raises(ValueError, match="strategies must be a triple of StrategyParams"):
-        make_config(strategies=(COOPERATE, COOPERATE))
+
+
+def _strategy_cases():
+    """pytest params (rows, message): message None when the rows are accepted."""
+    out = {"theta": (math.nan, math.inf, -0.1, math.pi + 1e-12),
+           "alpha": (math.nan, -math.inf, -math.pi - 1e-12, math.pi + 1e-12),
+           "beta": (math.nan, math.inf, -math.pi - 1e-12, math.pi + 1e-12)}
+    cases = []
+    for slot, (name, values) in enumerate(out.items()):
+        span = "[0, pi]" if name == "theta" else "[-pi, pi]"
+        for value in values:
+            move = [HPI, 0.0, 0.0]
+            move[slot] = value
+            cases.append(pytest.param([COOPERATE, move, DEFECT],
+                                      f"{name} must be in {span}, got {value}",
+                                      id=f"{name}={value}"))
+    shape = "strategies must be 3 (theta, alpha, beta) rows of numbers"
+    return cases + [
+        # theta is checked before alpha, alpha before beta
+        pytest.param([(-1.0, 4.0, 4.0)] * 3, "theta must be in [0, pi], got -1.0",
+                     id="theta-first"),
+        pytest.param([(1.0, 4.0, -4.0)] * 3, "alpha must be in [-pi, pi], got 4.0",
+                     id="alpha-before-beta"),
+        pytest.param(np.zeros((2, 3)), shape, id="shape-2x3"),
+        pytest.param(np.zeros((3, 4)), shape, id="shape-3x4"),
+        pytest.param([(0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0, 0.0)], shape, id="ragged"),
+        pytest.param([(0.0, 0.0, 0.0)] * 3, None, id="accepts-zero"),
+        pytest.param([(0.0, -math.pi, -math.pi)] * 3, None, id="accepts-minus-pi"),
+        pytest.param([(math.pi, math.pi, math.pi)] * 3, None, id="accepts-pi"),
+    ]
+
+
+@pytest.mark.parametrize("rows,message", _strategy_cases())
+def test_strategy_ranges(rows, message):
+    # GameConfig and the CLI's parse_triple refuse a move with the same text,
+    # and accept the range ends 0, pi and -pi exactly
+    triples = None
+    if len(rows) == 3 and all(len(row) == 3 for row in rows):
+        triples = [",".join(map(repr, map(float, row))) for row in rows]
+    if message is None:
+        cfg = make_config(strategies=rows)
+        assert cfg.strategies.tolist() == [list(row) for row in rows]
+        assert [parse_triple(text) for text in triples] == [tuple(row) for row in rows]
+        return
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_config(strategies=rows)
+    if triples is not None:
+        with pytest.raises(argparse.ArgumentTypeError, match=re.escape(message)):
+            for text in triples:
+                parse_triple(text)
+
+
+def test_stored_profile_is_a_read_only_copy():
+    want = [[1.0, 0.5, -0.5], [HPI, 0.0, 0.0], [2.0, 1.0, 1.0]]
+    for given in ([list(row) for row in want], np.array(want)):
+        cfg = make_config(p1=0.3, mu1=0.2, strategies=given)
+        before = game.payoffs(cfg)
+        given[0][0] = given[2][1] = 0.0  # the caller changes its profile afterwards
+        assert cfg.strategies.tolist() == want and game.payoffs(cfg) == before
+        assert cfg.strategies.shape == (3, 3) and cfg.strategies.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.strategies[0, 0] = 0.0
+    for shared in (COOPERATE, DEFECT, presets.SWEEP_PROFILE, presets.SURFACE_PROFILE):
+        assert not shared.flags.writeable
 
 
 def test_game_config_validates_and_copies_custom_tables():
@@ -163,7 +218,7 @@ def test_defect_is_i_sigma_x():
 @given(strategies_st)
 @settings(max_examples=100)
 def test_strategy_unitary_is_unitary(s):
-    u = strategy_unitary(s.theta, s.alpha, s.beta)
+    u = strategy_unitary(*s)
     assert max_abs(u.conj().T @ u - np.eye(2)) <= 1e-12
 
 
@@ -218,12 +273,10 @@ def test_classical_embedding_all_profiles():
 def test_outcome_probabilities_normalized_and_bounded():
     configs = [
         make_config(p1=0.4, mu1=0.7, strategies=(
-            StrategyParams(1.1, 0.3, -0.2), StrategyParams(2.0, -1.0, 0.5),
-            StrategyParams(0.4, 2.0, 1.0),
+            (1.1, 0.3, -0.2), (2.0, -1.0, 0.5), (0.4, 2.0, 1.0),
         )),
         # noiseless, outcome 001 rounds to -6.9e-18 before the clamp
-        make_config(strategies=(StrategyParams(2.0, 0.0, 0.0), StrategyParams(1.0, 0.0, 0.0),
-                                COOPERATE)),
+        make_config(strategies=((2.0, 0.0, 0.0), (1.0, 0.0, 0.0), COOPERATE)),
     ]
     for cfg in configs:
         probs = outcome_probabilities(cfg)
@@ -245,7 +298,7 @@ def test_each_path_runs_only_its_own_channel(monkeypatch):
     monkeypatch.setattr(game, "deviation_form", refused)
     assert pipeline_payoffs(cfg) == pytest.approx(fast, abs=1e-12)
     for idx, s in enumerate(cfg.strategies):
-        v = game.strategy_unitary(s.theta, s.alpha, s.beta).reshape(4)
+        v = game.strategy_unitary(*s).reshape(4)
         assert (v.conj() @ forms[idx] @ v).real == pytest.approx(fast[idx], abs=1e-12)
 
 
@@ -288,8 +341,7 @@ GOLDENS = [
 @pytest.mark.parametrize("case", GOLDENS)
 def test_pipeline_golden_values(case):
     gamma, delta, p1, mu1, p2, mu2, strategies, want = case
-    cfg = make_config(gamma, delta, p1, mu1, p2, mu2,
-                      tuple(StrategyParams(*s) for s in strategies))
+    cfg = make_config(gamma, delta, p1, mu1, p2, mu2, strategies)
     assert pipeline_payoffs(cfg) == pytest.approx(want, abs=1e-11)
 
 
@@ -303,10 +355,7 @@ def test_pipeline_golden_values(case):
 def test_pipeline_matches_oracle(gamma, delta, p1, mu1, p2, mu2, s1, s2, s3):
     cfg = make_config(gamma, delta, p1, mu1, p2, mu2, (s1, s2, s3))
     got = pipeline_payoffs(cfg)
-    want = oracle.payoffs(
-        gamma, delta, p1, mu1, p2, mu2,
-        [(s.theta, s.alpha, s.beta) for s in (s1, s2, s3)],
-    )
+    want = oracle.payoffs(gamma, delta, p1, mu1, p2, mu2, [s1, s2, s3])
     assert got == pytest.approx(want, abs=1e-11)
 
 
@@ -348,7 +397,7 @@ def test_closed_form_exact_at_maximal_entanglement(p1, mu1, p2, mu2, s1, s2, s3)
 
 def test_closed_form_report_structure():
     cfg = make_config(gamma=0.9, delta=0.6, p1=0.3, mu1=0.4, strategies=(
-        StrategyParams(1.0, 0.5, -0.5), StrategyParams(HPI, 0, 0), StrategyParams(2.0, 1.0, 1.0),
+        (1.0, 0.5, -0.5), (HPI, 0, 0), (2.0, 1.0, 1.0),
     ))
     d = closed_form_payoffs(cfg, pipeline_payoffs(cfg))
     assert list(d) == [
@@ -369,8 +418,7 @@ def random_generic_config(rng, p2=None):
     gamma, delta = rng.uniform(0.05, HPI - 0.05, 2)
     p1, mu1, p2_drawn, mu2 = rng.uniform(0.0, 1.0, 4)
     strategies = tuple(
-        StrategyParams(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi),
-                       rng.uniform(-math.pi, math.pi))
+        (rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi))
         for _ in range(3)
     )
     return GameConfig(gamma, delta, ChannelParams(p1, mu1),
@@ -444,7 +492,7 @@ CLOSED_FORM_GOLDENS = [
 @pytest.mark.parametrize("case", CLOSED_FORM_GOLDENS)
 def test_closed_form_golden_values(case):
     gamma, delta, noise, strategies, custom, want = case
-    cfg = make_config(gamma, delta, *noise, tuple(StrategyParams(*s) for s in strategies))
+    cfg = make_config(gamma, delta, *noise, strategies)
     if custom:
         cfg = dataclasses.replace(cfg, payoffs=payoff_table(_TABLE))
     got = closed_form_payoffs(cfg, pipeline_payoffs(cfg))["payoffs"]
@@ -480,7 +528,7 @@ def test_player_permutation_covariance():
             for x in range(8):
                 table[oracle.players_moved(x, order)] = cfg.payoffs[x, list(order)]
             moved = dataclasses.replace(
-                cfg, strategies=tuple(cfg.strategies[q] for q in order), payoffs=table
+                cfg, strategies=cfg.strategies[list(order)], payoffs=table
             )
             for path, pay in want.items():
                 np.testing.assert_allclose(path(moved), [pay[q] for q in order],

@@ -23,7 +23,6 @@ from qpd3.channel import ChannelParams, correlated_triple, dephasing_mask, kraus
 from qpd3.game import (
     OUTCOMES,
     GameConfig,
-    StrategyParams,
     _coherence_kernel,
     deviation_form,
     initial_state,
@@ -45,7 +44,7 @@ def random_density(rng, dim):
 
 
 def random_strategy(rng):
-    return StrategyParams(
+    return (
         rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
     )
 
@@ -71,13 +70,15 @@ def oracle_payoffs(cfg, strategies):
     table = dict(zip(OUTCOMES, map(tuple, cfg.payoffs.tolist())))
     return oracle.payoffs(
         cfg.gamma, cfg.delta, cfg.passage1.p, cfg.passage1.mu, cfg.passage2.p, cfg.passage2.mu,
-        [(s.theta, s.alpha, s.beta) for s in strategies], table,
+        np.asarray(strategies, dtype=float).tolist(), table,
     )
 
 
 def with_deviation(strategies, idx, deviation):
-    """``strategies`` with the entry at ``idx`` replaced by ``deviation``."""
-    return tuple(deviation if q == idx else s for q, s in enumerate(strategies))
+    """``strategies`` as a new (3, 3) array with row ``idx`` replaced by ``deviation``."""
+    profile = np.array(strategies, dtype=float)
+    profile[idx] = deviation
+    return profile
 
 
 SEEDS = (11, 12, 13)
@@ -126,7 +127,7 @@ def test_deviation_form_matches_oracle(seed, table):
     for idx in range(3):
         deviation = random_strategy(rng)
         want = oracle_payoffs(cfg, with_deviation(cfg.strategies, idx, deviation))
-        v = strategy_unitary(deviation.theta, deviation.alpha, deviation.beta).reshape(4)
+        v = strategy_unitary(*deviation).reshape(4)
         form = deviation_form(cfg, idx)
         np.testing.assert_allclose(form, form.conj().T, rtol=0, atol=1e-15)
         got = (v.conj() @ form @ v).real
@@ -139,12 +140,11 @@ def test_surface_rows_match_oracle(seed):
     alphas, thetas, values = strategy_surface(cfg, 4)
     assert alphas == grid_points(-math.pi, math.pi, 4)
     assert thetas == grid_points(0.0, math.pi, 4)
-    beta1 = cfg.strategies[0].beta
+    beta1 = cfg.strategies[0, 2]
     assert values.shape == (4, 4)
     for i, a in enumerate(alphas):
         for j, t in enumerate(thetas):
-            alice = StrategyParams(t, a, beta1)
-            want = oracle_payoffs(cfg, (alice,) + cfg.strategies[1:])
+            want = oracle_payoffs(cfg, with_deviation(cfg.strategies, 0, (t, a, beta1)))
             assert values[i, j] == pytest.approx(want[0], abs=1e-12)
 
 
@@ -168,16 +168,15 @@ def test_best_response_matches_full_evaluation_and_oracle(monkeypatch, seed, tab
         full = np.empty((5, 5, 5))
         for (i, t), (j, a), (k, b) in itertools.product(
                 enumerate(thetas), enumerate(angles), enumerate(angles)):
-            deviation = StrategyParams(t, a, b)
             deviated = dataclasses.replace(
-                cfg, strategies=with_deviation(cfg.strategies, idx, deviation))
+                cfg, strategies=with_deviation(cfg.strategies, idx, (t, a, b)))
             full[i, j, k] = payoffs(deviated)[idx]
         np.testing.assert_allclose(searched[-1], full, rtol=0, atol=1e-12)
         flat, best = first_max(full)
         i, j, k = np.unravel_index(flat, full.shape)
         assert res["best"] == [thetas[i], angles[j], angles[k]]
         assert res["best_payoff"] == pytest.approx(best, abs=1e-12)
-        at_best = with_deviation(cfg.strategies, idx, StrategyParams(*res["best"]))
+        at_best = with_deviation(cfg.strategies, idx, res["best"])
         assert res["best_payoff"] == pytest.approx(oracle_payoffs(cfg, at_best)[idx], abs=1e-12)
         want = oracle_payoffs(cfg, cfg.strategies)[idx]
         assert res["payoff_at_claimed"] == pytest.approx(want, abs=1e-12)
