@@ -100,16 +100,25 @@ def sweep(base: GameConfig, variable: str, grid) -> list[tuple[float, float, flo
     return rows
 
 
+def _noise_corners(cfg: GameConfig, f) -> np.ndarray:
+    """[f00, f10 - f00, f01 - f00, f11 - f10 - f01 + f00] of f bilinear in m1, m2 (fij at i, j)."""
+    off, on = ChannelParams(1.0, 0.0), ChannelParams(0.0, 0.0)  # m = 0 at p = 1, m = 1 at p = 0
+    f00, f10, f01, f11 = (np.array(f(replace(cfg, passage1=one, passage2=two)))
+                          for one, two in ((off, off), (on, off), (off, on), (on, on)))
+    return np.array([f00, f10 - f00, f01 - f00, f11 - f10 - f01 + f00])
+
+
 def noise_coefficients(cfg: GameConfig) -> np.ndarray:
     """The (4, 3) rows a, b, c, d of payoff = a + b m1 + c m2 + d m1 m2, one column per player.
 
-    m1, m2 are the passages' mu_p_factor, the noise's one way into a payoff.  Four
-    :func:`~qpd3.game.payoffs` calls give them, at p = 1 (m = 0) and p = 0 (m = 1).
+    m1, m2 are the passages' mu_p_factor, the noise's one way into a payoff.
     """
-    off, on = ChannelParams(1.0, 0.0), ChannelParams(0.0, 0.0)
-    p00, p10, p01, p11 = (np.array(payoffs(replace(cfg, passage1=one, passage2=two)))
-                          for one, two in ((off, off), (on, off), (off, on), (on, on)))
-    return np.array([p00, p10 - p00, p01 - p00, p11 - p10 - p01 + p00])
+    return _noise_corners(cfg, payoffs)
+
+
+def noise_forms(cfg: GameConfig, idx: int) -> np.ndarray:
+    """The (4, 4, 4) Q00, Q10, Q01, Q11 of deviation_form = Q00 + m1 Q10 + m2 Q01 + m1 m2 Q11."""
+    return _noise_corners(cfg, lambda corner: deviation_form(corner, idx))
 
 
 def deviation_payoffs(form: np.ndarray, theta, alpha, beta) -> np.ndarray:

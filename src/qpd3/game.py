@@ -155,7 +155,10 @@ class GameConfig:
         moves.setflags(write=False)
         object.__setattr__(self, "strategies", moves)
         if self.payoffs is not DEFAULT_TABLE:
-            table = np.array(self.payoffs, dtype=float)
+            try:
+                table = np.array(self.payoffs, dtype=float)
+            except (TypeError, ValueError):
+                table = np.empty(0)  # ragged, or not numbers: refused below
             if table.shape != (8, 3) or not np.all(np.abs(table) <= 1e300):
                 raise ValueError("payoffs must be an (8, 3) table of numbers within +-1e300")
             table.setflags(write=False)

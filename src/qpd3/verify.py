@@ -54,17 +54,18 @@ class CheckResult:
 
 
 def _random_draws(rng: random.Random, count: int) -> tuple[ChannelParams, np.ndarray]:
-    """``count`` random (p, mu) and Dirichlet(1, 1, 1) mixtures of 3 pure states, drawn in turn."""
-    draws = [
-        (rng.random(), rng.random(), [rng.expovariate(1.0) for _ in range(3)],
-         [[rng.gauss(0.0, 1.0) for _ in range(16)] for _ in range(3)])
-        for _ in range(count)
-    ]
-    p, mu, weights, normals = (np.array(column) for column in zip(*draws))
-    weights /= weights.sum(axis=-1, keepdims=True)
-    vecs = normals[..., :8] + 1j * normals[..., 8:]
+    """``count`` random (p, mu) and Dirichlet(1, 1, 1) mixtures of 3 pure states.
+
+    One ``rng.randbytes`` call gives each state 53 uniforms on [0, 1) of 53 bits: p, mu, three
+    exponentials -log1p(-u) for the weights, and 24 Box-Muller pairs, 24 complex normals.
+    """
+    u = (np.frombuffer(rng.randbytes(8 * 53 * count), "<u8") >> 11).reshape(count, 53) * 2.0**-53
+    weights = -np.log1p(-u[:, 2:5])
+    radius, phase = np.sqrt(-2.0 * np.log1p(-u[:, 5:29])), np.exp(2j * np.pi * u[:, 29:])
+    vecs = (radius * phase).reshape(count, 3, 8)
     vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
-    return ChannelParams(p, mu), np.einsum("nk,nki,nkj->nij", weights, vecs, vecs.conj())
+    rho = np.einsum("nk,nki,nkj->nij", weights / weights.sum(-1, keepdims=True), vecs, vecs.conj())
+    return ChannelParams(u[:, 0], u[:, 1]), rho
 
 
 def check_classical_limit() -> CheckResult:
@@ -93,29 +94,24 @@ def check_channel_soundness(seed: int) -> CheckResult:
     """The mask the evaluations run against the Kraus operators defining the channel.
 
     Complete, diagonal operators whose diagonals d have Gram d.T @ d.conj() = M
-    make the channel exactly M o rho; the fast kernel needs M[x, 7 - x] =
-    mu_p_factor: both checked on a 21x21 (p, mu) grid, one p row at a time
-    with all 21 mu at once.  On 100 random (p, mu, rho) from random.Random(seed), in
-    batches of 20, each M o rho must be a valid state equal to the Kraus sum,
-    whose largest defect the details give apart from the grid's.
+    make the channel exactly M o rho; the fast kernel needs M[x, 7 - x] = mu_p_factor: both
+    checked on a 21x21 (p, mu) grid, the masks in one call, the Kraus stacks one p row at a
+    time.  On 100 random (p, mu, rho) from random.Random(seed), in batches of 20, each M o rho
+    must be a valid state equal to the Kraus sum, whose largest defect the details give apart
+    from the grid's.
     """
-    grid_worst = random_worst = 0.0
     grid = np.linspace(0.0, 1.0, 21)
+    params = ChannelParams(grid[:, None], grid)
+    masks = dephasing_mask(params)
+    grid_worst = max_abs(np.flip(masks, -1).diagonal(0, -2, -1) - mu_p_factor(params)[..., None])
     off_diagonal = ~np.eye(8, dtype=bool)
-    for p in grid:
-        params = ChannelParams(p, grid)
-        ops = correlated_triple(params)
+    for p, mask in zip(grid, masks):
+        ops = correlated_triple(ChannelParams(p, grid))
         diag = np.diagonal(ops, axis1=-2, axis2=-1)
-        mask = dephasing_mask(params)
-        grid_worst = max(
-            grid_worst,
-            max_abs(completeness_defect(ops)),
-            max_abs(ops[..., off_diagonal]),
-            max_abs(diag.swapaxes(-1, -2) @ diag.conj() - mask),
-            max_abs(np.flip(mask, -1).diagonal(0, -2, -1) - mu_p_factor(params)[:, None]),
-        )
-    rng = random.Random(seed)
-    valid = 0
+        grid_worst = max(grid_worst, max_abs(completeness_defect(ops)),
+                         max_abs(ops[..., off_diagonal]),
+                         max_abs(diag.swapaxes(-1, -2) @ diag.conj() - mask))
+    rng, valid, random_worst = random.Random(seed), 0, 0.0
     # five batches of 20 states keep the (20, 8, 8, 8) Kraus stacks small
     for _ in range(5):
         params, rho = _random_draws(rng, 20)
@@ -148,23 +144,23 @@ def check_p_sweep_qualitative() -> CheckResult:
 
     Asserts: payoff_C >= payoff_A = payoff_B at every p for mu in {0, 1};
     payoff_C at mu=1 dominates mu=0 pointwise; and the mu=1 curve is
-    non-constant in p (max-min spread over p above 1e-6).
+    non-constant in p (max-min spread over p above 1e-6).  The curves are
+    a + b m + c m + d m m on 21 points of p, with m = mu_p_factor(p, mu) in both
+    passages and a, b, c, d from :func:`~qpd3.analysis.noise_coefficients`.
 
     The last clause fails by construction: with Charlie's strategy at
     alpha3 = beta3 = pi/2 every phase-sensitive term in the payoff hits
     cos(+-pi) simultaneously and cancels, leaving the payoff exactly 21/8 for
     every p and mu.  The spread is reported as measured.
     """
-    grid = analysis.grid_points(0.0, 1.0, 21)
-    curves = {}
-    for mu in (0.0, 1.0):
-        base = presets.entangled_config(0.0, mu, presets.SWEEP_PROFILE)
-        curves[mu] = analysis.sweep(base, "p", grid)
-    ab_gap = max(abs(r[1] - r[2]) for rows in curves.values() for r in rows)
-    c_minus_a = min(r[3] - r[1] for rows in curves.values() for r in rows)
-    memory_gain = min(r1[3] - r0[3] for r0, r1 in zip(curves[0.0], curves[1.0]))
-    c_mu1 = [r[3] for r in curves[1.0]]
-    spread = max(c_mu1) - min(c_mu1)
+    a, b, c, d = analysis.noise_coefficients(
+        presets.entangled_config(0.0, 0.0, presets.SWEEP_PROFILE))
+    m = mu_p_factor(ChannelParams(np.linspace(0.0, 1.0, 21), np.array([[0.0], [1.0]])))[..., None]
+    alice, bob, charlie = (a + b * m + c * m + d * m * m).T  # each indexed [p, mu]
+    ab_gap = float(np.abs(alice - bob).max())
+    c_minus_a = float((charlie - alice).min())
+    memory_gain = float((charlie[:, 1] - charlie[:, 0]).min())
+    spread = float(np.ptp(charlie[:, 1]))
     clauses = {
         "A=B (<=1e-12)": ab_gap <= 1e-12,
         "C>=A (>=-1e-12)": c_minus_a >= -1e-12,
@@ -172,13 +168,10 @@ def check_p_sweep_qualitative() -> CheckResult:
         "spread over p at mu=1 > 1e-6": spread > 1e-6,
     }
     details = "; ".join(f"{k}: {'ok' if v else 'FAILED'}" for k, v in clauses.items())
-    measured = (
-        f"|A-B|={ab_gap:.2e}, min(C-A)={c_minus_a:.2e}, "
-        f"min(C1-C0)={memory_gain:.2e}, spread={spread:.2e}"
-    )
-    return CheckResult(
-        "p_sweep_qualitative", all(clauses.values()), measured, "see clauses", details
-    )
+    measured = (f"|A-B|={ab_gap:.2e}, min(C-A)={c_minus_a:.2e}, "
+                f"min(C1-C0)={memory_gain:.2e}, spread={spread:.2e}")
+    return CheckResult("p_sweep_qualitative", all(clauses.values()), measured, "see clauses",
+                       details)
 
 
 def check_mu_sweep_monotonicity() -> CheckResult:
@@ -204,12 +197,17 @@ def check_surface_argmax_invariance() -> CheckResult:
     At each (p, mu) in {0, 0.3, 0.7, 1}^2 one 3x3 eigh gives the plane's exact maximum
     (:func:`~qpd3.analysis.exact_best_response` with ``beta_zero``), attained on a ridge that
     holds the claimed point: it must come within TIE_TOL, which implies the claim on any grid.
+    Alice's form there is Q00 + m Q10 + m Q01 + m^2 Q11 with m = mu_p_factor(p, mu), from
+    the four corner forms of :func:`~qpd3.analysis.noise_forms`, built once.
     """
-    levels = (0.0, 0.3, 0.7, 1.0)
+    points = [(p, mu) for p in (0.0, 0.3, 0.7, 1.0) for mu in (0.0, 0.3, 0.7, 1.0)]
     claimed = np.vstack([(HALF_PI, HALF_PI, 0.0), presets.SURFACE_PROFILE[1:]])
-    gains = {(p, mu): analysis.exact_best_response(
-        presets.entangled_config(p, mu, claimed), 0, beta_zero=True)["exact_gain"]
-        for p in levels for mu in levels}
+    forms = analysis.noise_forms(presets.entangled_config(0.0, 0.0, claimed), 0)
+    gains = {}
+    for p, mu in points:
+        m, cfg = mu_p_factor(ChannelParams(p, mu)), presets.entangled_config(p, mu, claimed)
+        form = np.tensordot((1.0, m, m, m * m), forms, 1)
+        gains[p, mu] = analysis.exact_best_response(cfg, 0, form, beta_zero=True)["exact_gain"]
     failures = [point for point, gain in gains.items() if gain > analysis.TIE_TOL]
     details = (f"not maximal at {failures}" if failures else
                "exact maximum over the (alpha1, theta1) plane at beta1 = 0 exceeds the "

@@ -114,6 +114,39 @@ def test_random_draws_are_seeded_valid_states():
     assert min(np.linalg.eigvalsh(state).min() for state in rho) >= -1e-14
 
 
+def test_random_draws_follow_their_distributions(monkeypatch):
+    # the normals are the complex vectors before normalising, the weights einsum's first operand
+    seen = {}
+    norm, einsum = np.linalg.norm, np.einsum
+
+    def norm_spy(x, *args, **kwargs):
+        seen["normals"] = np.concatenate((x.real, x.imag), axis=-1)
+        return norm(x, *args, **kwargs)
+
+    def einsum_spy(subscripts, weights, *operands):
+        seen["weights"] = weights
+        return einsum(subscripts, weights, *operands)
+
+    monkeypatch.setattr(np.linalg, "norm", norm_spy)
+    monkeypatch.setattr(np, "einsum", einsum_spy)
+    rng, twin = random.Random(3), random.Random(3)
+    params, _ = verify._random_draws(rng, 2000)
+    monkeypatch.undo()
+    twin.randbytes(8 * 53 * 2000)  # the draws took one randbytes call, 53 uniforms a state
+    assert rng.getstate() == twin.getstate()
+    normals, weights = seen["normals"], seen["weights"]
+    assert normals.shape == (2000, 3, 16) and weights.shape == (2000, 3)
+    assert abs(normals.mean()) <= 0.05 and abs(normals.var() - 1.0) <= 0.05
+    for part in (normals[..., :8], normals[..., 8:]):  # real and imaginary parts alike
+        assert abs(part.mean()) <= 0.05 and abs(part.var() - 1.0) <= 0.05
+    assert abs(np.corrcoef(normals[..., :8].ravel(), normals[..., 8:].ravel())[0, 1]) <= 0.05
+    assert np.all(weights > 0.0)
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    assert np.abs(weights.mean(axis=0) - 1 / 3).max() <= 0.02  # Dirichlet(1, 1, 1)
+    for x in (params.p, params.mu):
+        assert np.all((0.0 <= x) & (x < 1.0)) and abs(x.mean() - 0.5) <= 0.05
+
+
 def test_channel_soundness_counts_each_invalid_state(monkeypatch):
     # one state of trace 2 (still Hermitian and positive) in each batch of 20
     original = verify._random_draws
@@ -134,21 +167,33 @@ def test_surface_argmax_invariance_fails_where_the_claimed_point_loses(monkeypat
     # Alice's form at one (p, mu) less Q_c = eps v v†, v = vec(u) at the claimed
     # (alpha1, theta1) = (pi/2, pi/2): that point loses 4 eps (|v|^2 = 2), while the
     # ridge's other points, orthogonal to v, keep the maximum
-    original = analysis.deviation_form
+    original = analysis.exact_best_response
     v = game.strategy_unitary(np.pi / 2, np.pi / 2, 0.0).reshape(4)
 
-    def lowered(cfg, idx):
-        form = original(cfg, idx)
+    def lowered(cfg, idx, form=None, beta_zero=False):
         if (cfg.passage1.p, cfg.passage1.mu) == (0.3, 0.7):
             form = form - 1e-6 * np.outer(v, v.conj())
-        return form
+        return original(cfg, idx, form, beta_zero)
 
-    monkeypatch.setattr(analysis, "deviation_form", lowered)
+    monkeypatch.setattr(analysis, "exact_best_response", lowered)
     res = verify.check_surface_argmax_invariance()
     print(res.line())
     assert not res.passed
     assert "maximal at 15/16" in res.measured
     assert "not maximal at [(0.3, 0.7)]" in res.details
+
+
+def test_surface_argmax_invariance_builds_four_forms(monkeypatch):
+    # the four noise corners' forms serve all 16 (p, mu)
+    original, calls = analysis.deviation_form, []
+
+    def counted(cfg, idx):
+        calls.append(idx)
+        return original(cfg, idx)
+
+    monkeypatch.setattr(analysis, "deviation_form", counted)
+    _run(verify.check_surface_argmax_invariance())
+    assert calls == [0] * 4
 
 
 def test_mu_sweep_monotonicity_fails_on_a_negative_slope_coefficient(monkeypatch):
@@ -168,7 +213,7 @@ def test_mu_sweep_monotonicity_fails_on_a_negative_slope_coefficient(monkeypatch
 
 
 def test_surface_and_memory_checks_run_no_grid(monkeypatch):
-    # both checks are exact; a surface or a sweep brought back into them fails here
+    # the checks are exact; a surface or a sweep brought back into them fails here
     def refused(*args, **kwargs):
         raise AssertionError("grid evaluation called")
 
@@ -176,6 +221,10 @@ def test_surface_and_memory_checks_run_no_grid(monkeypatch):
     monkeypatch.setattr(analysis, "sweep", refused)
     _run(verify.check_surface_argmax_invariance())
     _run(verify.check_mu_sweep_monotonicity())
+    # the p sweep's curves come from the noise coefficients; it fails by design, on one clause
+    res = verify.check_p_sweep_qualitative()
+    assert not res.passed and res.details.count("FAILED") == 1
+    assert res.details.endswith("spread over p at mu=1 > 1e-6: FAILED")
 
 
 GRID = np.linspace(0.0, 1.0, 21)

@@ -10,17 +10,20 @@ import pytest
 from qpd3 import presets
 from qpd3.analysis import (
     best_response,
+    deviation_payoffs,
     exact_best_response,
     first_max,
     grid_points,
     nash_check,
     noise_coefficients,
+    noise_forms,
     strategy_surface,
     sweep,
 )
 from qpd3.channel import ChannelParams, mu_p_factor
-from qpd3.game import COOPERATE, DEFECT, OUTCOMES, payoff_table, payoffs
-from test_kernel import oracle_payoffs, random_config, random_table, with_deviation
+from qpd3.game import COOPERATE, DEFECT, OUTCOMES, deviation_form, payoff_table, payoffs
+from test_kernel import (oracle_payoffs, random_config, random_strategy, random_table,
+                         with_deviation)
 
 HPI = math.pi / 2
 
@@ -324,6 +327,35 @@ def test_noise_coefficients_match_the_oracle():
             moved = dataclasses.replace(cfg, passage1=one, passage2=two)
             np.testing.assert_allclose(a + b * m1 + c * m2 + d * m1 * m2,
                                        oracle_payoffs(moved, moved.strategies), rtol=0, atol=1e-12)
+
+
+def test_noise_coefficients_keep_the_bits_of_four_payoff_calls():
+    off, on = ChannelParams(1.0, 0.0), ChannelParams(0.0, 0.0)
+    for cfg in [generic_config(seed) for seed in range(6)] + [sweep_config(0.3, 0.4)]:
+        p00, p10, p01, p11 = (np.array(payoffs(dataclasses.replace(cfg, passage1=one, passage2=two)))
+                              for one, two in ((off, off), (on, off), (off, on), (on, on)))
+        want = np.array([p00, p10 - p00, p01 - p00, p11 - p10 - p01 + p00])
+        got = noise_coefficients(cfg)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_noise_forms_give_the_deviation_form_on_both_passages():
+    # deviation_form = Q00 + m1 Q10 + m2 Q01 + m1 m2 Q11 at random split passages, and the
+    # combined form pays what the oracle does; m1 != m2 tells Q10 from Q01
+    rng = np.random.default_rng(17)
+    for seed in range(6):
+        cfg = generic_config(seed)
+        for idx in range(3):
+            forms = noise_forms(cfg, idx)
+            assert forms.shape == (4, 4, 4)
+            one, two = ChannelParams(*rng.random(2)), ChannelParams(*rng.random(2))
+            m1, m2 = mu_p_factor(one), mu_p_factor(two)
+            moved = dataclasses.replace(cfg, passage1=one, passage2=two)
+            form = np.tensordot((1.0, m1, m2, m1 * m2), forms, 1)
+            np.testing.assert_allclose(form, deviation_form(moved, idx), rtol=0, atol=1e-12)
+            move = random_strategy(rng)
+            want = oracle_payoffs(moved, with_deviation(moved.strategies, idx, move))[idx]
+            assert float(deviation_payoffs(form, *move)) == pytest.approx(want, abs=1e-12)
 
 
 def test_noise_coefficients_b_and_c_vanish_at_full_entanglement():

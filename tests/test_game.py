@@ -142,6 +142,15 @@ def test_game_config_validates_and_copies_custom_tables():
     assert dataclasses.replace(cfg, payoffs=DEFAULT_TABLE).payoffs is DEFAULT_TABLE
 
 
+@pytest.mark.parametrize("table", [[[1, 2, 3]] * 7 + [[1, 2]], [["a", 2, 3]] * 8, [[1, 2, None]] * 8],
+                         ids=["ragged", "string", "none"])
+def test_game_config_refuses_unreadable_tables_with_its_own_message(table):
+    # numpy's own message for a ragged list ("inhomogeneous shape") never shows
+    message = "payoffs must be an (8, 3) table of numbers within +-1e300"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(make_config(), payoffs=table)
+
+
 def test_outcome_labels_in_index_order():
     assert OUTCOMES == ("000", "001", "010", "011", "100", "101", "110", "111")
 
