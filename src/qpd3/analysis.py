@@ -2,13 +2,14 @@
 
 Searches are exact or grid.  The exact search (:func:`exact_best_response`)
 maximises one player's payoff over all of SU(2) with one 4x4 eigh, so its
-answer is the true best response, not a grid's.  The grid searches are
+answer is the true best response, not a grid's; it is a pure function of
+that player's 4x4 form and claimed move.  The grid searches are
 exhaustive over explicit grids, deterministic, and break ties within
 ``TIE_TOL`` of a grid maximum by one rule, :func:`first_max`.  :func:`sweep`
 takes its grid and returns one row per point; the other searches build
 their grids from a resolution per axis and return what ``qpd3`` prints.
-Every game setting, the audited strategy profile included, is read from the
-:class:`~qpd3.game.GameConfig` passed in.
+They read every game setting, the audited strategy profile included, from
+the :class:`~qpd3.game.GameConfig` passed in.
 
 A sweep point is one :func:`~qpd3.game.payoffs` call.  A search payoff is
 the 4x4 form vec(u)† Q vec(u) in one player's unitary u
@@ -160,9 +161,8 @@ def first_max(values: np.ndarray) -> tuple[int, float]:
     return int(np.flatnonzero(values >= best - TIE_TOL)[0]), float(best)
 
 
-def exact_best_response(cfg: GameConfig, idx: int, form: np.ndarray | None = None,
-                        beta_zero: bool = False) -> dict:
-    """The best response of the player in slot ``idx`` over all of SU(2), by one 4x4 eigh.
+def exact_best_response(form: np.ndarray, move) -> dict:
+    """The best response over all of SU(2) to the 4x4 deviation form ``form``, by one eigh.
 
     With vec(u) = L q (``_SU2_BASIS``), the payoff is q^T S q for the real
     symmetric S = Re(L† Q L), so the best payoff ``exact_payoff`` is
@@ -170,22 +170,14 @@ def exact_best_response(cfg: GameConfig, idx: int, form: np.ndarray | None = Non
     ``exact_best`` is theta = 2 atan2(|b|, |a|), alpha = arg a and
     beta = arg(b / i), with 0 for the angle that is free at theta = 0 (beta)
     or theta = pi (alpha).  ``exact_gain`` is that payoff minus the payoff at
-    ``cfg.strategies[idx]``.  ``eigen_gap`` is lambda_max minus the next
-    eigenvalue; where it is 0 the best response is not unique and
-    ``exact_best`` is one of them.  ``form`` is ``deviation_form(cfg, idx)``,
-    built here unless the caller has it.  With ``beta_zero`` the search is over
-    the beta = 0 plane that :func:`strategy_surface` scans, where Re b = 0 and
-    Im b >= 0, half a sphere in coordinates (0, 1, 3); as q and -q pay the same,
-    the best payoff is lambda_max of S's 3x3 block there (eigenvector: Im b >= 0).
+    ``move``, the player's claimed (theta, alpha, beta).  ``eigen_gap`` is
+    lambda_max minus the next eigenvalue; where it is 0 the best response is
+    not unique and ``exact_best`` is one of them.
     """
-    if form is None:
-        form = deviation_form(cfg, idx)
-    coords = [0, 1, 3] if beta_zero else slice(None)
     s = (_SU2_BASIS.conj().T @ form @ _SU2_BASIS).real
-    eigvals, eigvecs = np.linalg.eigh(s[coords][:, coords])
-    q = np.insert(eigvecs[:, -1], 2, 0.0) if beta_zero else eigvecs[:, -1]
-    # q and -q give the same payoff; on the plane the sign with Im b >= 0
-    q = q * np.sign(q[3] if beta_zero and q[3] else q[np.argmax(np.abs(q))])
+    eigvals, eigvecs = np.linalg.eigh(s)
+    q = eigvecs[:, -1]
+    q = q * np.sign(q[np.argmax(np.abs(q))])  # q and -q give the same payoff
     a, b = complex(q[0], q[1]), complex(q[2], q[3])
     angles = (2 * math.atan2(abs(b), abs(a)),
               cmath.phase(a) if a else 0.0,
@@ -194,7 +186,7 @@ def exact_best_response(cfg: GameConfig, idx: int, form: np.ndarray | None = Non
     return {
         "exact_best": [x + 0.0 for x in angles],  # + 0.0 prints -0.0 as 0.0
         "exact_payoff": best,
-        "exact_gain": best - float(deviation_payoffs(form, *cfg.strategies[idx])),
+        "exact_gain": best - float(deviation_payoffs(form, *move)),
         "eigen_gap": float(eigvals[-1] - eigvals[-2]),
     }
 
@@ -233,7 +225,7 @@ def best_response(cfg: GameConfig, idx: int, resolution: int = 25) -> dict:
         "best_payoff": best_val,
         "payoff_at_claimed": at_claimed,
         "gain_over_claimed": best_val - at_claimed,
-        **exact_best_response(cfg, idx, form),
+        **exact_best_response(form, cfg.strategies[idx]),
     }
 
 

@@ -1,9 +1,10 @@
 """The built-in verification suite: one check per acceptance criterion.
 
-Each check returns a :class:`CheckResult`; :func:`run_all` runs them in order.
-The suite is deterministic apart from the seeded random states used by the
-channel soundness check.  Checks report what they measure; none of them is
-weakened to force a pass, so a failing check is a finding about the model,
+Each check returns a :class:`CheckResult`; :func:`run_all` runs them in order, with the
+sweep profile's noise coefficients computed once for the two sweep checks.  The equilibrium
+and surface checks are exact over all of SU(2).  The suite is deterministic apart from the
+seeded random states used by the channel soundness check.  Checks report what they measure;
+none of them is weakened to force a pass, so a failing check is a finding about the model,
 not necessarily a bug (see the surrounding docstrings).
 """
 
@@ -30,6 +31,7 @@ from .game import (
     COOPERATE,
     DEFECT,
     closed_form_payoffs,
+    deviation_form,
     measurement_projectors,
     pipeline_payoffs,
 )
@@ -139,22 +141,22 @@ def check_coherence_factor_limits() -> CheckResult:
                        f"max |err| = {worst:.3e}", "1e-12")
 
 
-def check_p_sweep_qualitative() -> CheckResult:
+def check_p_sweep_qualitative(coefficients: np.ndarray) -> CheckResult:
     """Decoherence sweep under the canned sweep profile.
 
     Asserts: payoff_C >= payoff_A = payoff_B at every p for mu in {0, 1};
     payoff_C at mu=1 dominates mu=0 pointwise; and the mu=1 curve is
     non-constant in p (max-min spread over p above 1e-6).  The curves are
     a + b m + c m + d m m on 21 points of p, with m = mu_p_factor(p, mu) in both
-    passages and a, b, c, d from :func:`~qpd3.analysis.noise_coefficients`.
+    passages and a, b, c, d the sweep profile's ``coefficients``
+    (:func:`~qpd3.analysis.noise_coefficients`, computed once by :func:`run_all`).
 
     The last clause fails by construction: with Charlie's strategy at
     alpha3 = beta3 = pi/2 every phase-sensitive term in the payoff hits
     cos(+-pi) simultaneously and cancels, leaving the payoff exactly 21/8 for
     every p and mu.  The spread is reported as measured.
     """
-    a, b, c, d = analysis.noise_coefficients(
-        presets.entangled_config(0.0, 0.0, presets.SWEEP_PROFILE))
+    a, b, c, d = coefficients
     m = mu_p_factor(ChannelParams(np.linspace(0.0, 1.0, 21), np.array([[0.0], [1.0]])))[..., None]
     alice, bob, charlie = (a + b * m + c * m + d * m * m).T  # each indexed [p, mu]
     ab_gap = float(np.abs(alice - bob).max())
@@ -174,16 +176,15 @@ def check_p_sweep_qualitative() -> CheckResult:
                        details)
 
 
-def check_mu_sweep_monotonicity() -> CheckResult:
+def check_mu_sweep_monotonicity(coefficients: np.ndarray) -> CheckResult:
     """Payoffs non-decreasing in mu at p=0.3 and p=0.7 under the sweep profile, exactly.
 
-    With both passages at m = mu_p_factor(p, mu), a payoff is a + (b + c) m + d m^2
-    (:func:`~qpd3.analysis.noise_coefficients`), so its mu slope is (b + c + 2 d m) dm/dmu
-    with dm/dmu >= 0.  The coefficient is linear in m, so its values at m(p, 0) and m(p, 1)
+    With both passages at m = mu_p_factor(p, mu), a payoff is a + (b + c) m + d m^2 (the
+    sweep profile's ``coefficients``), so its mu slope is (b + c + 2 d m) dm/dmu with
+    dm/dmu >= 0.  The coefficient is linear in m, so its values at m(p, 0) and m(p, 1)
     certify the claim over all of mu in [0, 1], and with it on any mu grid.
     """
-    _, b, c, d = analysis.noise_coefficients(
-        presets.entangled_config(0.0, 0.0, presets.SWEEP_PROFILE))
+    _, b, c, d = coefficients
     m = mu_p_factor(ChannelParams(np.array([[0.3], [0.7]]), np.array([0.0, 1.0])))
     worst = float((b + c + 2 * d * m[..., None]).min())
     return CheckResult("mu_sweep_monotonicity", worst >= -1e-12,
@@ -192,22 +193,23 @@ def check_mu_sweep_monotonicity() -> CheckResult:
 
 
 def check_surface_argmax_invariance() -> CheckResult:
-    """(alpha1, theta1) = (pi/2, pi/2) maximises Alice's payoff over her beta1 = 0 plane.
+    """(alpha1, theta1) = (pi/2, pi/2) at beta1 = 0 is Alice's best response over all of SU(2).
 
-    At each (p, mu) in {0, 0.3, 0.7, 1}^2 one 3x3 eigh gives the plane's exact maximum
-    (:func:`~qpd3.analysis.exact_best_response` with ``beta_zero``), attained on a ridge that
-    holds the claimed point: it must come within TIE_TOL, which implies the claim on any grid.
-    Alice's form there is Q00 + m Q10 + m Q01 + m^2 Q11 with m = mu_p_factor(p, mu), from
-    the four corner forms of :func:`~qpd3.analysis.noise_forms`, built once.
+    At each (p, mu) in {0, 0.3, 0.7, 1}^2 one 4x4 eigh gives her exact maximum
+    (:func:`~qpd3.analysis.exact_best_response`), attained on a ridge that holds the claimed
+    point: it must come within TIE_TOL.  SU(2) holds her beta1 = 0 plane, so that bounds the
+    plane's maximum too and implies the claim on any grid of the surface.  Alice's form there
+    is Q00 + m Q10 + m Q01 + m^2 Q11 with m = mu_p_factor(p, mu), from the four corner forms
+    of :func:`~qpd3.analysis.noise_forms`, built once.
     """
     points = [(p, mu) for p in (0.0, 0.3, 0.7, 1.0) for mu in (0.0, 0.3, 0.7, 1.0)]
     claimed = np.vstack([(HALF_PI, HALF_PI, 0.0), presets.SURFACE_PROFILE[1:]])
     forms = analysis.noise_forms(presets.entangled_config(0.0, 0.0, claimed), 0)
     gains = {}
     for p, mu in points:
-        m, cfg = mu_p_factor(ChannelParams(p, mu)), presets.entangled_config(p, mu, claimed)
+        m = mu_p_factor(ChannelParams(p, mu))
         form = np.tensordot((1.0, m, m, m * m), forms, 1)
-        gains[p, mu] = analysis.exact_best_response(cfg, 0, form, beta_zero=True)["exact_gain"]
+        gains[p, mu] = analysis.exact_best_response(form, claimed[0])["exact_gain"]
     failures = [point for point, gain in gains.items() if gain > analysis.TIE_TOL]
     details = (f"not maximal at {failures}" if failures else
                "exact maximum over the (alpha1, theta1) plane at beta1 = 0 exceeds the "
@@ -227,7 +229,8 @@ def check_classical_nash() -> CheckResult:
     """
     def gains(move):
         cfg = presets.classical_config((move,) * 3)
-        return [analysis.exact_best_response(cfg, idx)["exact_gain"] for idx in range(3)]
+        return [analysis.exact_best_response(deviation_form(cfg, idx), move)["exact_gain"]
+                for idx in range(3)]
 
     ddd, ccc = gains(DEFECT), gains(COOPERATE)
     expected_gain = 5.0 - 3.0
@@ -276,13 +279,14 @@ def run_all(seed: int, report_path: Path) -> list[CheckResult]:
     """Run every acceptance check in order; ``report_path`` takes the closed-form report
     and is opened first, so an unwritable path or a missing directory fails before any check."""
     open(report_path, "a", encoding="utf-8").close()
+    sweep = analysis.noise_coefficients(presets.entangled_config(0.0, 0.0, presets.SWEEP_PROFILE))
     return [
         check_classical_limit(),
         check_entangled_anchors(),
         check_channel_soundness(seed),
         check_coherence_factor_limits(),
-        check_p_sweep_qualitative(),
-        check_mu_sweep_monotonicity(),
+        check_p_sweep_qualitative(sweep),
+        check_mu_sweep_monotonicity(sweep),
         check_surface_argmax_invariance(),
         check_classical_nash(),
         check_closed_form(report_path),

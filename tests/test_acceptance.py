@@ -15,9 +15,14 @@ import random
 import numpy as np
 import pytest
 
-from qpd3 import analysis, game, verify
+from qpd3 import analysis, game, presets, verify
 from qpd3.channel import ChannelParams
 from qpd3.game import OUTCOMES
+
+
+def sweep_coefficients():
+    """The sweep profile's noise coefficients, as :func:`qpd3.verify.run_all` passes them."""
+    return analysis.noise_coefficients(presets.entangled_config(0.0, 0.0, presets.SWEEP_PROFILE))
 
 
 def _run(result):
@@ -43,11 +48,11 @@ def test_04_coherence_factor_limits():
 
 
 def test_05_p_sweep_qualitative():
-    _run(verify.check_p_sweep_qualitative())
+    _run(verify.check_p_sweep_qualitative(sweep_coefficients()))
 
 
 def test_06_mu_sweep_monotonicity():
-    _run(verify.check_mu_sweep_monotonicity())
+    _run(verify.check_mu_sweep_monotonicity(sweep_coefficients()))
 
 
 def test_07_surface_argmax_invariance():
@@ -166,14 +171,18 @@ def test_channel_soundness_counts_each_invalid_state(monkeypatch):
 def test_surface_argmax_invariance_fails_where_the_claimed_point_loses(monkeypatch):
     # Alice's form at one (p, mu) less Q_c = eps v v†, v = vec(u) at the claimed
     # (alpha1, theta1) = (pi/2, pi/2): that point loses 4 eps (|v|^2 = 2), while the
-    # ridge's other points, orthogonal to v, keep the maximum
+    # ridge's other points, orthogonal to v, keep the maximum.  The point is told by
+    # its form, which differs from the other 15 points' forms by far more than 1e-12.
     original = analysis.exact_best_response
-    v = game.strategy_unitary(np.pi / 2, np.pi / 2, 0.0).reshape(4)
+    claimed = (np.pi / 2, np.pi / 2, 0.0)
+    v = game.strategy_unitary(*claimed).reshape(4)
+    profile = np.vstack([claimed, presets.SURFACE_PROFILE[1:]])
+    at_point = game.deviation_form(presets.entangled_config(0.3, 0.7, profile), 0)
 
-    def lowered(cfg, idx, form=None, beta_zero=False):
-        if (cfg.passage1.p, cfg.passage1.mu) == (0.3, 0.7):
+    def lowered(form, move):
+        if np.allclose(form, at_point, rtol=0, atol=1e-12):
             form = form - 1e-6 * np.outer(v, v.conj())
-        return original(cfg, idx, form, beta_zero)
+        return original(form, move)
 
     monkeypatch.setattr(analysis, "exact_best_response", lowered)
     res = verify.check_surface_argmax_invariance()
@@ -183,30 +192,50 @@ def test_surface_argmax_invariance_fails_where_the_claimed_point_loses(monkeypat
     assert "not maximal at [(0.3, 0.7)]" in res.details
 
 
+def test_surface_argmax_invariance_fails_on_a_lift_off_the_surface_plane(monkeypatch):
+    # Alice's form plus eps w w†, w = vec([[0, 1], [-1, 0]]): w† vec(u) = 2 Re b, which
+    # vanishes on her beta1 = 0 plane, so only a search over all of SU(2) sees the lift
+    original = analysis.exact_best_response
+    w = np.array([0.0, 1.0, -1.0, 0.0])
+    lift = 1e-6 * np.outer(w, w)
+    t, a = np.meshgrid(np.linspace(0.0, np.pi, 41), np.linspace(-np.pi, np.pi, 41))
+    assert np.abs(analysis.deviation_payoffs(lift, t, a, 0.0)).max() <= 1e-20
+    monkeypatch.setattr(analysis, "exact_best_response",
+                        lambda form, move: original(form + lift, move))
+    res = verify.check_surface_argmax_invariance()
+    print(res.line())
+    assert not res.passed
+    # at p = 1 the ridge holds the lifted direction, so the maximum rises with eps there
+    assert "maximal at 12/16" in res.measured
+    assert "not maximal at [(1.0, 0.0), (1.0, 0.3), (1.0, 0.7), (1.0, 1.0)]" in res.details
+
+
 def test_surface_argmax_invariance_builds_four_forms(monkeypatch):
-    # the four noise corners' forms serve all 16 (p, mu)
+    # the four noise corners' forms serve all 16 (p, mu): one config and its four
+    # corners are all the check builds
     original, calls = analysis.deviation_form, []
+    post_init, configs = game.GameConfig.__post_init__, []
 
     def counted(cfg, idx):
         calls.append(idx)
         return original(cfg, idx)
 
+    def counted_config(cfg):
+        configs.append(cfg)
+        post_init(cfg)
+
     monkeypatch.setattr(analysis, "deviation_form", counted)
+    monkeypatch.setattr(game.GameConfig, "__post_init__", counted_config)
     _run(verify.check_surface_argmax_invariance())
     assert calls == [0] * 4
+    assert len(configs) == 5
 
 
 def test_mu_sweep_monotonicity_fails_on_a_negative_slope_coefficient(monkeypatch):
     # Bob's b lowered: his slope coefficient b + c + 2 d m turns negative
-    original = analysis.noise_coefficients
-
-    def lowered(cfg):
-        coefficients = original(cfg)
-        coefficients[1, 1] -= 1e-6
-        return coefficients
-
-    monkeypatch.setattr(analysis, "noise_coefficients", lowered)
-    res = verify.check_mu_sweep_monotonicity()
+    coefficients = sweep_coefficients()
+    coefficients[1, 1] -= 1e-6
+    res = verify.check_mu_sweep_monotonicity(coefficients)
     print(res.line())
     assert not res.passed
     assert "min slope coefficient b + c + 2 d m = -1.000e-06" in res.measured
@@ -220,9 +249,9 @@ def test_surface_and_memory_checks_run_no_grid(monkeypatch):
     monkeypatch.setattr(analysis, "strategy_surface", refused)
     monkeypatch.setattr(analysis, "sweep", refused)
     _run(verify.check_surface_argmax_invariance())
-    _run(verify.check_mu_sweep_monotonicity())
+    _run(verify.check_mu_sweep_monotonicity(sweep_coefficients()))
     # the p sweep's curves come from the noise coefficients; it fails by design, on one clause
-    res = verify.check_p_sweep_qualitative()
+    res = verify.check_p_sweep_qualitative(sweep_coefficients())
     assert not res.passed and res.details.count("FAILED") == 1
     assert res.details.endswith("spread over p at mu=1 > 1e-6: FAILED")
 
@@ -285,3 +314,17 @@ def test_channel_soundness_holds_for_rephased_kraus_operators(monkeypatch):
     phases = np.exp(1j * np.arange(1.0, 9.0))[:, None, None]
     monkeypatch.setattr(verify, "correlated_triple", lambda params: original(params) * phases)
     _run(verify.check_channel_soundness(seed=0))
+
+
+def test_run_all_computes_the_sweep_coefficients_once(monkeypatch, tmp_path):
+    # the p sweep and the memory check share one (4, 3) array
+    original, calls = analysis.noise_coefficients, []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(analysis, "noise_coefficients", counted)
+    results = verify.run_all(0, tmp_path / "report.json")
+    assert len(calls) == 1
+    assert [r.name for r in results][4:6] == ["p_sweep_qualitative", "mu_sweep_monotonicity"]

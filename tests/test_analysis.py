@@ -237,12 +237,17 @@ def generic_config(seed):
     return dataclasses.replace(random_config(seed), payoffs=random_table(seed + 1000))
 
 
+def exact(cfg, idx):
+    """The exact best response of the player in slot ``idx`` to the others in ``cfg``."""
+    return exact_best_response(deviation_form(cfg, idx), cfg.strategies[idx])
+
+
 def test_exact_best_response_attains_its_payoff_in_the_oracle():
     for seed in range(60):
         cfg = generic_config(seed)
         at_claimed = payoffs(cfg)
         for idx in range(3):
-            res = exact_best_response(cfg, idx)
+            res = exact(cfg, idx)
             assert list(res) == ["exact_best", "exact_payoff", "exact_gain", "eigen_gap"]
             theta, alpha, beta = best = res["exact_best"]
             got = oracle_payoffs(cfg, with_deviation(cfg.strategies, idx, best))[idx]
@@ -265,8 +270,8 @@ def test_exact_gain_bounds_the_grid_gain():
             res = best_response(cfg, idx, resolution=9)
             assert res["exact_gain"] >= res["gain_over_claimed"] - 1e-12
             assert res["exact_payoff"] >= res["best_payoff"] - 1e-12
-            exact = exact_best_response(cfg, idx)
-            assert {key: res[key] for key in exact} == exact
+            want = exact(cfg, idx)
+            assert {key: res[key] for key in want} == want
 
 
 @pytest.mark.parametrize("paid_bit,theta", [("0", 0.0), ("1", math.pi)])
@@ -276,7 +281,7 @@ def test_exact_best_response_takes_0_for_the_free_angle(paid_bit, theta):
     table = payoff_table({label: [float(bit == paid_bit) for bit in label] for label in OUTCOMES})
     cfg = dataclasses.replace(presets.classical_config((COOPERATE,) * 3), payoffs=table)
     for idx in range(3):
-        res = exact_best_response(cfg, idx)
+        res = exact(cfg, idx)
         got_theta, alpha, beta = res["exact_best"]
         assert got_theta == theta
         free = beta if theta == 0.0 else alpha
@@ -295,7 +300,7 @@ def test_exact_best_response_prints_no_negative_zero(monkeypatch, top):
         return values, vectors
 
     monkeypatch.setattr(np.linalg, "eigh", with_top)
-    res = exact_best_response(presets.classical_config((COOPERATE,) * 3), 0)
+    res = exact(presets.classical_config((COOPERATE,) * 3), 0)
     assert res["exact_best"] == [0.0, 0.0, 0.0]
     assert all(math.copysign(1.0, x) == 1.0 for x in res["exact_best"])
 
@@ -305,7 +310,7 @@ def test_exact_eigen_gap_is_zero_on_classical_games():
     for moves in itertools.product((COOPERATE, DEFECT), repeat=3):
         cfg = presets.classical_config(moves)
         for idx in range(3):
-            res = exact_best_response(cfg, idx)
+            res = exact(cfg, idx)
             assert res["eigen_gap"] == 0.0
             # defection dominates, so it is a best response
             defects = dataclasses.replace(cfg, strategies=with_deviation(moves, idx, DEFECT))
@@ -313,7 +318,7 @@ def test_exact_eigen_gap_is_zero_on_classical_games():
 
 
 # ---------------------------------------------------------------------------
-# Exact structure: the noise coefficients and the beta = 0 plane's maximum.
+# Exact structure: the noise coefficients and the surface check's SU(2) maximum.
 
 def test_noise_coefficients_match_the_oracle():
     # payoff = a + b m1 + c m2 + d m1 m2 at random passages, m = mu_p_factor
@@ -366,33 +371,16 @@ def test_noise_coefficients_b_and_c_vanish_at_full_entanglement():
         assert np.abs(coefficients[1:3]).max() <= 1e-12
 
 
-def check_beta_zero_maximum(cfg):
-    """The beta = 0 maximum is attained in the oracle and bounds the 41x41 surface."""
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+def test_su2_maximum_at_the_surface_checks_points(p, mu):
+    # attained in the oracle, at least the 41x41 surface's maximum, and attained by the
+    # claimed (alpha1, theta1) = (pi/2, pi/2)
+    cfg = surface_config(p, mu)
     assert cfg.strategies[0, 2] == 0.0  # the surface scans Alice's plane at her beta
-    res = exact_best_response(cfg, 0, beta_zero=True)
-    theta, alpha, beta = res["exact_best"]
-    assert beta == 0.0 and math.copysign(1.0, beta) == 1.0
+    res = exact(cfg, 0)
     got = oracle_payoffs(cfg, with_deviation(cfg.strategies, 0, res["exact_best"]))[0]
     assert got == pytest.approx(res["exact_payoff"], abs=1e-12)
     assert res["exact_payoff"] >= strategy_surface(cfg, 41)[2].max() - 1e-12
-    assert res["exact_payoff"] <= exact_best_response(cfg, 0)["exact_payoff"] + 1e-12
-    assert res["eigen_gap"] >= 0.0
-    return res
-
-
-@pytest.mark.parametrize("mu", [0.0, 0.3, 0.7, 1.0])
-@pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
-def test_beta_zero_maximum_at_the_surface_checks_points(p, mu):
-    cfg = surface_config(p, mu)
-    res = check_beta_zero_maximum(cfg)
-    # the claimed (alpha1, theta1) = (pi/2, pi/2) attains it
     claimed = with_deviation(cfg.strategies, 0, (HPI, HPI, 0.0))
     assert oracle_payoffs(cfg, claimed)[0] == pytest.approx(res["exact_payoff"], abs=1e-12)
-
-
-def test_beta_zero_maximum_on_generic_games():
-    for seed in range(12):
-        cfg = generic_config(seed)
-        profile = cfg.strategies.copy()
-        profile[0, 2] = 0.0  # Alice's beta
-        check_beta_zero_maximum(dataclasses.replace(cfg, strategies=profile))

@@ -110,7 +110,7 @@ def test_trace_preservation_grid():
             assert completeness_defect(correlated_triple(params)) <= 1e-12
 
 
-def test_apply_channel_identity():
+def test_mask_is_the_identity_without_noise():
     for mu in (0.0, 0.5, 1.0):
         mask = dephasing_mask(ChannelParams(0.0, mu))
         np.testing.assert_allclose(mask, np.ones((8, 8)), atol=1e-15)
@@ -120,7 +120,7 @@ def test_apply_channel_identity():
     np.testing.assert_allclose(out, rho, atol=1e-12)
 
 
-def test_apply_channel_plus_state_dephasing():
+def test_mask_dephases_a_plus_state_by_1_minus_p():
     # |+> on one qubit, |0> on the others: each qubit's marginal error
     # probability is p/2 whatever the memory, so its coherence shrinks by (1 - p)
     for bit in (4, 2, 1):  # Alice, Bob, Charlie
@@ -151,7 +151,7 @@ def test_mu_p_factor_factored_form(p, mu):
 
 @given(unit, unit, st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
-def test_apply_channel_preserves_state_properties(p, mu, seed):
+def test_mask_keeps_states_valid_and_populations_fixed(p, mu, seed):
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 8)
     out = check_density_matrix(dephasing_mask(ChannelParams(p, mu)) * rho)
